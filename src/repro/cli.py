@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--repetitions", type=int, default=1)
     sweep.add_argument("--jobs", type=int, default=None,
                        help="worker processes for the sweep (default: "
-                            "$REPRO_JOBS or 1 = serial); results are "
+                            "$REPRO_JOBS or 1 = one worker); results are "
                             "identical at any jobs level")
     sweep.add_argument("--resume", metavar="DIR", default=None,
                        help="campaign directory: checkpoint completed "
@@ -679,8 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "device indices (see 'repro devices "
                                 "list'; default: homogeneous)")
     fleet_run.add_argument("--jobs", type=int, default=1,
-                           help="worker processes (default: 1 = inline); "
-                                "results are identical at any jobs level")
+                           help="worker processes (default: 1 = one pool "
+                                "worker); results are identical at any "
+                                "jobs level")
     fleet_run.add_argument("--rows-per-region", type=int, default=2,
                            help="BER victims per device (default: 2)")
     fleet_run.add_argument("--hcfirst-rows", type=int, default=2,
@@ -694,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: 1)")
     fleet_run.add_argument("--device-timeout", type=float, default=None,
                            metavar="S",
-                           help="per-device wall-clock limit for pooled "
-                                "runs (default: unlimited)")
+                           help="per-device wall-clock limit, at any "
+                                "jobs level (default: unlimited)")
     fleet_run.add_argument("--resume", metavar="DIR", default=None,
                            help="fleet campaign directory: checkpoint "
                                 "completed devices there and resume a "

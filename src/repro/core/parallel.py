@@ -9,70 +9,48 @@ what other shards ran before — the same property the paper's FPGA
 infrastructure exploits by characterizing many banks concurrently.
 
 :class:`ShardPlan` splits a :class:`~repro.core.sweeps.SweepConfig` into
-single-(channel, pseudo channel, bank, region) work units *in the serial
-nesting order*; :class:`ParallelSweepRunner` fans them out over a
-:class:`concurrent.futures.ProcessPoolExecutor` (each worker rebuilds
-its own :class:`~repro.bender.board.BenderBoard` from a picklable
+single-(channel, pseudo channel, bank, region) work items *in the serial
+nesting order*; :class:`ParallelSweepRunner` is the sweep's adapter on
+the campaign driver (:class:`~repro.core.campaign.CampaignRunner`),
+which runs the items on the warm worker pool — one worker at
+``jobs=1``, ``jobs`` workers otherwise; each worker rebuilds its own
+:class:`~repro.bender.board.BenderBoard` from a picklable
 :class:`~repro.bender.board.BoardSpec`, so no live simulator state
-crosses the process boundary) and merges the shard datasets back in plan
-order.  Because merge order equals serial iteration order and the WCDP
-synthesis runs on the merged dataset, a parallel sweep produces a
+crosses the process boundary — and merges the shard datasets back in
+plan order.  Because merge order equals serial iteration order and the
+WCDP synthesis runs on the merged dataset, a sharded sweep produces a
 byte-identical exported dataset to the serial
 :class:`~repro.core.sweeps.SpatialSweep` for the same spec and config.
 
-Observability: when the parent process has a tracer or metrics registry
-installed (:mod:`repro.obs`), each worker collects its own per-shard
-span tree and metric snapshot, spools them to disk, and the runner
-merges them back *in plan order* — so a ``jobs=N`` campaign yields one
-coherent trace whose shard subtrees sit under a single ``campaign``
-span, one aggregated metrics snapshot, and per-shard wall-time /
-throughput telemetry under ``dataset.metadata["telemetry"]``.  With
-observability disabled (the default) none of this machinery runs.
+Observability, resilience and checkpoint/resume are the campaign driver's (see
+:mod:`repro.core.campaign`): with a tracer or metrics registry
+installed, worker spools merge back in plan order into one trace under
+a single ``campaign`` span and per-shard telemetry under
+``dataset.metadata["telemetry"]``; a shard that exhausts its retries is
+quarantined as a structured :class:`ShardError` — carrying its attempt
+count, total backoff, fault category and, via :class:`ShardRunError`,
+its worker's wall time and metric snapshot — and the dataset gains an
+exact ``metadata["coverage"]`` account of what was measured versus
+lost; with ``campaign_dir`` a killed campaign resumes to a
+byte-identical merged dataset.
 
-Resilience: a shard whose worker raises, crashes, hangs past
-``shard_timeout_s``, or returns a dataset failing its integrity
-fingerprint is retried (with exponential backoff and deterministic
-jitter between rounds) on the *same* warm pool — workers and their
-engine sessions persist across attempts, and only a crash or a zombie
-worker forces the backend to recycle the pool; a shard that exhausts
-its retries is quarantined as a structured :class:`ShardError` — carrying
-its attempt count, total backoff, and fault category — instead of
-killing the campaign, and the dataset gains an exact
-``metadata["coverage"]`` account of what was measured versus lost.
-Timeouts are measured from when a shard's work item is *dispatched*,
-not from pool submission, so a long queue behind a few slow shards is
-not misread as a hang; when every worker is wedged, queued shards are
-failed fast as ``starved`` rather than waiting out a timeout each.
-Workers wrap their failures in :class:`ShardRunError`, carrying the
-shard's wall time and metric snapshot back to the parent, so a failed
-shard is diagnosable without rerunning it.
-
-Checkpoint/resume: pass ``campaign_dir`` and every completed shard's
-dataset is spooled there atomically (see
-:mod:`repro.core.campaign`); re-running the same campaign against the
-same directory — e.g. after the parent was killed — loads the
-checkpointed shards instead of re-measuring them and produces a
-byte-identical merged dataset to an uninterrupted run.
-
-Limitations: the parallel path always uses the device's own row mapping
-(a custom ``mapper`` cannot cross the fork); pass ``jobs=1`` to sweep
-with a reverse-engineered mapper.
+Limitations: the sharded path always uses the device's own row mapping
+(a custom ``mapper`` cannot cross the fork); sweep with a
+reverse-engineered mapper in-process through
+:class:`~repro.core.sweeps.SpatialSweep`.
 """
 
 from __future__ import annotations
 
-import tempfile
-import time
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.bender.board import BenderBoard, BoardSpec
 from repro.core.campaign import (
-    CampaignCheckpoint,
+    CampaignRunner,
+    ItemFailure,
+    ShardRunError,
     campaign_fingerprint,
-    checkpoint_events,
 )
 from repro.core.results import CharacterizationDataset
 from repro.core.sweeps import (
@@ -82,100 +60,20 @@ from repro.core.sweeps import (
     sweep_metadata,
 )
 from repro.core.wcdp import append_wcdp_records
-from repro.engine.plan import ExecutionPlan, item_coords
-from repro.engine.pool import PoolBackend, run_shard
-from repro.errors import (
-    DiskSpaceError,
-    ExperimentError,
-    PoolDegradedError,
-    ReproError,
-    ShardFault,
-)
-from repro.faults.plan import FaultPlan, resolve_fault_spec
+from repro.engine.plan import ExecutionPlan, WorkItem
+from repro.engine.pool import run_shard
+from repro.errors import ExperimentError
 from repro.faults.thermal import ThermalGuard
-from repro.obs import (
-    MetricsRegistry,
-    ObsConfig,
-    get_events,
-    get_metrics,
-    get_tracer,
-    read_jsonl,
-)
-from repro.obs.events import dataset_delta
-from repro.rng import uniform_hash01
+from repro.obs import get_events, get_tracer
 
 __all__ = [
     "ShardError",
     "ShardPlan",
     "ShardRunError",
-    "SweepShard",
     "ParallelSweepRunner",
     "run_shard",
     "run_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class SweepShard:
-    """One independent work unit: a single (ch, pc, bank, region) cell.
-
-    ``config`` is the parent sweep config narrowed to this cell, with
-    WCDP synthesis disabled (it runs once, on the merged dataset) and
-    ``jobs`` forced to 1 (a shard is the unit of parallelism).
-    ``attempt`` is the retry round the shard is being executed under —
-    fault plans key injected shard faults on it, so an injected fault
-    is transient and a retry of the same shard can succeed.
-    """
-
-    index: int
-    channel: int
-    pseudo_channel: int
-    bank: int
-    region: str
-    config: SweepConfig
-    attempt: int = 0
-
-    def describe(self) -> str:
-        return (f"ch{self.channel} pc{self.pseudo_channel} "
-                f"ba{self.bank} region={self.region}")
-
-
-class ShardRunError(ReproError):
-    """A shard failed in its worker; carries the worker-side diagnosis.
-
-    Raised by :func:`run_shard` so the parent learns not just *that* the
-    shard failed but how long it ran and what its metric snapshot looked
-    like at the point of failure (commands issued, hammers, settle
-    iterations, ...) — enough to diagnose most failures without
-    rerunning the shard.  Picklable: crosses the process pool boundary
-    intact.
-    """
-
-    def __init__(self, original_type: str, message: str,
-                 wall_s: float, metrics: Dict[str, Dict[str, object]],
-                 category: str = "error") -> None:
-        super().__init__(original_type, message, wall_s, metrics, category)
-        self.original_type = original_type
-        self.message = message
-        self.wall_s = wall_s
-        self.metrics = metrics
-        self.category = category
-
-    def __str__(self) -> str:
-        return f"{self.original_type}: {self.message}"
-
-
-def _fault_category(error: BaseException) -> str:
-    """Structured failure category for quarantine reports and metrics."""
-    if isinstance(error, FuturesTimeoutError):
-        return "timeout"
-    if isinstance(error, BrokenExecutor):
-        return "crash"
-    if isinstance(error, ShardFault):
-        return error.category
-    if isinstance(error, ShardRunError):
-        return error.category
-    return "exception"
 
 
 @dataclass(frozen=True)
@@ -204,39 +102,20 @@ class ShardError:
     fault_category: str = "error"
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "shard": self.index,
-            "channel": self.channel,
-            "pseudo_channel": self.pseudo_channel,
-            "bank": self.bank,
-            "region": self.region,
-            "error_type": self.error_type,
-            "message": self.message,
-            "attempts": self.attempts,
-            "wall_s": self.wall_s,
-            "metrics": self.metrics,
-            "backoff_s": self.backoff_s,
-            "fault_category": self.fault_category,
-        }
+        record = asdict(self)
+        return {"shard": record.pop("index"), **record}
 
     @classmethod
-    def from_failure(cls, shard: SweepShard, error: BaseException,
-                     attempts: int, backoff_s: float = 0.0) -> "ShardError":
-        category = _fault_category(error)
-        if isinstance(error, ShardRunError):
-            return cls(index=shard.index, channel=shard.channel,
-                       pseudo_channel=shard.pseudo_channel,
-                       bank=shard.bank, region=shard.region,
-                       error_type=error.original_type,
-                       message=error.message, attempts=attempts,
-                       wall_s=error.wall_s, metrics=error.metrics,
-                       backoff_s=backoff_s, fault_category=category)
+    def from_failure(cls, failure: ItemFailure) -> "ShardError":
+        shard = failure.item
         return cls(index=shard.index, channel=shard.channel,
                    pseudo_channel=shard.pseudo_channel, bank=shard.bank,
-                   region=shard.region,
-                   error_type=type(error).__name__, message=str(error),
-                   attempts=attempts, backoff_s=backoff_s,
-                   fault_category=category)
+                   region=shard.region, error_type=failure.error_type,
+                   message=failure.message, attempts=failure.attempts,
+                   wall_s=getattr(failure.error, "wall_s", None),
+                   metrics=getattr(failure.error, "metrics", None),
+                   backoff_s=failure.backoff_s,
+                   fault_category=failure.category)
 
 
 @dataclass(frozen=True)
@@ -248,27 +127,18 @@ class ShardPlan:
     therefore reproduces the serial record order exactly.
     """
 
-    shards: Tuple[SweepShard, ...]
+    shards: Tuple[WorkItem, ...]
 
     @classmethod
     def from_config(cls, config: SweepConfig) -> "ShardPlan":
-        """One shard per engine plan item: a :class:`ShardPlan` is the
-        engine's :class:`~repro.engine.plan.ExecutionPlan` partitioned
-        into process-crossable work units, so the serial and parallel
-        paths iterate the same items in the same order by construction.
+        """The engine's :class:`~repro.engine.plan.ExecutionPlan`, each
+        item carrying its narrowed config so it can cross the process
+        boundary: the serial and sharded paths iterate the same items
+        in the same order by construction.
         """
-        plan = ExecutionPlan.from_config(config)
         return cls(shards=tuple(
-            SweepShard(index=item.index, channel=item.channel,
-                       pseudo_channel=item.pseudo_channel, bank=item.bank,
-                       region=item.region,
-                       config=ExecutionPlan.narrow_config(config, item))
-            for item in plan))
-
-    def with_obs(self, obs: ObsConfig) -> Tuple[SweepShard, ...]:
-        """The plan's shards with ``obs`` injected into every config."""
-        return tuple(replace(shard, config=replace(shard.config, obs=obs))
-                     for shard in self.shards)
+            replace(item, config=ExecutionPlan.narrow_config(config, item))
+            for item in ExecutionPlan.from_config(config)))
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -277,70 +147,12 @@ class ShardPlan:
         return iter(self.shards)
 
 
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-# The worker side — the per-process engine session and the default
-# per-shard entry point — lives in :mod:`repro.engine.pool`;
-# :func:`repro.engine.pool.run_shard` is re-exported here (imported
-# above) for callers and tests that run shards inline.
-ShardRunner = Callable[[BoardSpec, SweepShard], CharacterizationDataset]
+#: A per-shard entry point (module-level, hence picklable); the default
+#: is :func:`repro.engine.pool.run_shard`, re-exported here.
+ShardRunner = Callable[[BoardSpec, WorkItem], CharacterizationDataset]
 
 
-class _ProgressAggregator:
-    """Idempotent shard/record progress accounting across retry rounds.
-
-    A retried shard reports completion at most once: completed shard
-    indices live in a set and record totals accumulate only on first
-    completion, so the ``completed/total`` figures a callback sees never
-    double-count a shard that failed, was retried, and then finished
-    (or — with a timeout — finished twice).
-    """
-
-    def __init__(self, total: int,
-                 callback: Optional[ProgressCallback]) -> None:
-        self._total = total
-        self._callback = callback
-        self._done: set = set()
-        self._records = 0
-
-    @property
-    def records_done(self) -> int:
-        return self._records
-
-    def preload(self, datasets: Dict[int, CharacterizationDataset]) -> None:
-        """Mark checkpointed shards as done without emitting per-shard
-        callbacks (a resumed campaign reports them in one line)."""
-        for index, dataset in datasets.items():
-            if index not in self._done:
-                self._done.add(index)
-                self._records += sum(dataset.record_counts())
-
-    def completed(self, shard: SweepShard,
-                  dataset: CharacterizationDataset, attempt: int) -> bool:
-        """Register a completed shard; returns True on first completion."""
-        first = shard.index not in self._done
-        if first:
-            self._done.add(shard.index)
-            self._records += sum(dataset.record_counts())
-        self._emit(shard, "ok", attempt)
-        return first
-
-    def failed(self, shard: SweepShard, error: BaseException,
-               attempt: int) -> None:
-        name = (error.original_type if isinstance(error, ShardRunError)
-                else type(error).__name__)
-        self._emit(shard, f"FAILED ({name})", attempt)
-
-    def _emit(self, shard: SweepShard, status: str, attempt: int) -> None:
-        if self._callback is None:
-            return
-        retry = " retry" if attempt else ""
-        self._callback(f"[{len(self._done)}/{self._total} shards{retry}] "
-                       f"{shard.describe()} {status}")
-
-
-class ParallelSweepRunner:
+class ParallelSweepRunner(CampaignRunner):
     """Runs one characterization campaign across worker processes.
 
     Drop-in equivalent of ``SpatialSweep(spec.build(), config).run()``:
@@ -349,6 +161,11 @@ class ParallelSweepRunner:
     shards were quarantined and ``metadata["telemetry"]`` when
     observability is active.
     """
+
+    kind = "sweep"
+    unit = "shards"
+    metric = "sweep.shard"
+    error_class = ShardError
 
     def __init__(self, spec: BoardSpec, config: Optional[SweepConfig] = None,
                  *, shard_runner: Optional[ShardRunner] = None,
@@ -359,8 +176,7 @@ class ParallelSweepRunner:
         Args:
             spec: recipe each worker rebuilds its own board from.
             config: sweep axes/density; ``config.jobs`` sets the worker
-                count (1 falls back to the serial path in-process unless
-                ``campaign_dir`` asks for the checkpointing shard path).
+                count (the shards run on a one-worker pool at 1).
             shard_runner: override for the per-shard entry point (must be
                 picklable; used by fault-injection tests).
             max_retries: extra attempts for a failed shard (default 1).
@@ -371,474 +187,65 @@ class ParallelSweepRunner:
                 and resume from (see :mod:`repro.core.campaign`).
             mp_context: multiprocessing context for the pool (default:
                 the platform default).
-            degrade: ``"auto"`` (default) finishes the campaign serially
-                in-process when the pool's crash-loop circuit breaker
-                opens (:class:`~repro.errors.PoolDegradedError`);
+            degrade: ``"auto"`` (default) finishes the campaign inline
+                in this process when the pool's crash-loop circuit
+                breaker opens (:class:`~repro.errors.PoolDegradedError`);
                 ``"never"`` propagates the error instead.
         """
-        if max_retries < 0:
-            raise ExperimentError("max_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ExperimentError("retry_backoff_s must be >= 0")
-        if degrade not in ("auto", "never"):
-            raise ExperimentError(
-                f"degrade must be 'auto' or 'never', got {degrade!r}")
-        self._spec = spec
         self._config = config or SweepConfig()
-        self._shard_runner: ShardRunner = shard_runner or run_shard
-        self._max_retries = max_retries
-        self._retry_backoff_s = retry_backoff_s
-        self._campaign_dir = campaign_dir
-        self._mp_context = mp_context
-        self._degrade = degrade
-        self._sleep = time.sleep
-        self._errors: Tuple[ShardError, ...] = ()
-        self._coverage: Optional[Dict[str, object]] = None
-        self._checkpoint: Optional[CampaignCheckpoint] = None
-        self._backend: Optional[PoolBackend] = None
-        self._backoff_totals: Dict[int, float] = {}
-        faults = self._config.faults
-        self._backoff_seed = (faults.seed if faults is not None
-                              else getattr(spec, "seed", 0))
+        super().__init__(spec, item_runner=shard_runner or run_shard,
+                         jobs=self._config.jobs,
+                         timeout_s=self._config.shard_timeout_s,
+                         faults=self._config.faults,
+                         experiment=self._config.experiment,
+                         max_retries=max_retries,
+                         retry_backoff_s=retry_backoff_s,
+                         campaign_dir=campaign_dir, mp_context=mp_context,
+                         degrade=degrade)
 
     @property
     def config(self) -> SweepConfig:
         return self._config
 
-    @property
-    def errors(self) -> Tuple[ShardError, ...]:
-        """Shards that failed permanently in the last :meth:`run`."""
-        return self._errors
-
-    @property
-    def coverage(self) -> Optional[Dict[str, object]]:
-        """Shard/row coverage accounting for the last :meth:`run`."""
-        return self._coverage
-
     # ------------------------------------------------------------------
     def run(self, progress: Optional[ProgressCallback] = None
             ) -> CharacterizationDataset:
         """Execute the campaign and return the merged dataset."""
-        config = self._config
-        self._errors = ()
-        self._coverage = None
-        self._backoff_totals = {}
-        tracer = get_tracer()
-        metrics = get_metrics()
-        events = get_events()
-        # With an event bus installed even jobs=1 takes the sharded
-        # path (as campaign_dir already does): shards are what the
-        # event schema describes, and routing every jobs level through
-        # the same emitters is what makes the logs byte-identical.
-        if (config.jobs == 1 and self._campaign_dir is None
-                and not events.enabled):
-            with tracer.span("campaign", jobs=1):
-                sweep = SpatialSweep(self._spec.build(), config)
-                dataset = sweep.run(progress)
-            self._coverage = self._serial_coverage(config, dataset)
-            return dataset
+        return self._drive(progress)
 
-        plan = ShardPlan.from_config(config)
-        events.emit("campaign_started", shards=len(plan), kind="sweep",
-                    timing={"jobs": config.jobs})
-        obs_active = tracer.enabled or metrics.enabled
-        spool = (tempfile.TemporaryDirectory(prefix="repro-obs-")
-                 if obs_active else None)
-        started = time.perf_counter()
-        # One warm pool for the whole campaign: workers (and their
-        # engine sessions — board, controls, program cache) persist
-        # across retry rounds instead of being rebuilt per attempt.
-        self._backend = PoolBackend(self._spec, runner=self._shard_runner,
-                                    timeout_s=config.shard_timeout_s,
-                                    mp_context=self._mp_context,
-                                    experiment=config.experiment)
-        try:
-            with tracer.span("campaign", jobs=config.jobs,
-                             shards=len(plan)) as campaign:
-                if spool is not None or events.enabled:
-                    shards: Sequence[SweepShard] = plan.with_obs(ObsConfig(
-                        trace=tracer.enabled, metrics=metrics.enabled,
-                        spool_dir=(spool.name if spool is not None
-                                   else None),
-                        events_path=(str(events.path) if events.enabled
-                                     else None),
-                        epoch=events.epoch))
-                else:
-                    shards = plan.shards
+    def _plan(self) -> Tuple[WorkItem, ...]:
+        return ShardPlan.from_config(self._config).shards
 
-                results: Dict[int, CharacterizationDataset] = {}
-                failures: Dict[int, BaseException] = {}
-                aggregator = _ProgressAggregator(len(plan), progress)
-                self._checkpoint = self._open_campaign(
-                    plan, results, aggregator, metrics, progress)
-                pending = [shard for shard in shards
-                           if shard.index not in results]
-                attempts = 1 + self._max_retries
-                for attempt in range(attempts):
-                    if not pending:
-                        break
-                    if attempt:
-                        metrics.counter("sweep.shard_retries").inc(
-                            len(pending))
-                        for shard in pending:
-                            events.emit(
-                                "retry", item=shard.index, attempt=attempt,
-                                category=_fault_category(
-                                    failures[shard.index]),
-                                **item_coords(shard))
-                        self._backoff(pending, attempt, metrics)
-                        # Retry rounds dispatch sequentially on the
-                        # *same* warm pool (sessions built in round 0
-                        # are reused, not rebuilt per attempt); a hard
-                        # crash is still contained to the crashing
-                        # shard because the backend recycles the pool
-                        # and continues the round on a fresh one.
-                        with tracer.span("retry-round", attempt=attempt,
-                                         shards=len(pending)):
-                            pending = self._run_round(
-                                pending, results, failures, aggregator,
-                                attempt, isolate=True)
-                    else:
-                        pending = self._run_round(pending, results,
-                                                  failures, aggregator,
-                                                  attempt, isolate=False)
-                if pending:
-                    metrics.counter("sweep.shard_failures").inc(
-                        len(pending))
+    def _fingerprint(self, total: int) -> str:
+        return campaign_fingerprint(self._spec, self._config, total)
 
-                self._errors = tuple(
-                    ShardError.from_failure(
-                        shard, failures[shard.index], attempts,
-                        backoff_s=round(
-                            self._backoff_totals.get(shard.index, 0.0), 9))
-                    for shard in sorted(pending,
-                                        key=lambda shard: shard.index))
-                for error in self._errors:
-                    events.emit("quarantine", item=error.index,
-                                attempt=attempts,
-                                category=error.fault_category,
-                                error_type=error.error_type,
-                                channel=error.channel,
-                                pseudo_channel=error.pseudo_channel,
-                                bank=error.bank, region=error.region)
-
-                dataset = CharacterizationDataset.merged(
-                    (results[shard.index] for shard in plan.shards
-                     if shard.index in results),
-                    metadata=sweep_metadata(config))
-                thermal = ThermalGuard.merge_metadata(
-                    [results[shard.index] for shard in plan.shards
-                     if shard.index in results])
-                if thermal is not None:
-                    dataset.metadata["thermal"] = thermal
-                self._coverage = self._parallel_coverage(plan, results)
-                if self._errors:
-                    dataset.metadata["shard_errors"] = [
-                        error.as_dict() for error in self._errors]
-                    dataset.metadata["coverage"] = self._coverage
-                if config.append_wcdp:
-                    with tracer.span("wcdp"):
-                        append_wcdp_records(dataset)
-                if spool is not None:
-                    wall_s = time.perf_counter() - started
-                    self._merge_spool(plan, results, spool.name, tracer,
-                                      metrics, campaign, dataset, wall_s)
-                events.emit(
-                    "campaign_finished", shards=len(plan),
-                    completed=len(results), quarantined=len(self._errors),
-                    records=sum(dataset.record_counts()),
-                    timing={"wall_s": round(
-                        time.perf_counter() - started, 6)})
-                events.finalize()
-                return dataset
-        finally:
-            self._checkpoint = None
-            if self._backend is not None:
-                self._backend.close()
-                self._backend = None
-            if spool is not None:
-                spool.cleanup()
-
-    # ------------------------------------------------------------------
-    def _open_campaign(self, plan: ShardPlan,
-                       results: Dict[int, CharacterizationDataset],
-                       aggregator: _ProgressAggregator, metrics,
-                       progress: Optional[ProgressCallback]
-                       ) -> Optional[CampaignCheckpoint]:
-        """Prepare the campaign directory and preload checkpointed shards."""
-        if self._campaign_dir is None:
-            return None
-        fault_spec = resolve_fault_spec(self._config.faults)
-        fault_plan = (FaultPlan(fault_spec)
-                      if fault_spec is not None and fault_spec.has_io_faults
-                      else None)
-        checkpoint = CampaignCheckpoint(self._campaign_dir,
-                                        fault_plan=fault_plan)
-        fingerprint = campaign_fingerprint(self._spec, self._config,
-                                           len(plan))
-        try:
-            resuming = checkpoint.prepare(fingerprint, len(plan))
-        except DiskSpaceError:
-            # A full volume at campaign start: run without checkpoints
-            # (results stay in memory) rather than refuse the campaign.
-            metrics.counter("campaign.checkpoint_write_errors").inc()
-            return checkpoint
-        if resuming:
-            loaded = checkpoint.load(shard.index for shard in plan.shards)
-            if loaded:
-                results.update(loaded)
-                aggregator.preload(loaded)
-                checkpoint_events(get_events(), plan.shards, loaded)
-                metrics.counter("campaign.checkpoint_loads").inc(
-                    len(loaded))
-                if progress is not None:
-                    recovered = (f" ({checkpoint.recovered} corrupt "
-                                 f"quarantined)" if checkpoint.recovered
-                                 else "")
-                    progress(f"[resume] {len(loaded)}/{len(plan)} shards "
-                             f"loaded from {checkpoint.directory}"
-                             f"{recovered}")
-            elif progress is not None and checkpoint.recovered:
-                progress(f"[resume] 0/{len(plan)} shards loaded from "
-                         f"{checkpoint.directory} ({checkpoint.recovered} "
-                         f"corrupt quarantined)")
-        return checkpoint
-
-    def _backoff(self, pending: List[SweepShard], attempt: int,
-                 metrics) -> None:
-        """Exponential backoff with deterministic jitter before a retry
-        round; the delay is attributed to every shard in the round so
-        quarantine reports carry exact per-shard backoff totals."""
-        base = self._retry_backoff_s
-        if base <= 0:
-            return
-        jitter = 0.5 + uniform_hash01(self._backoff_seed,
-                                      ("retry-round", attempt))
-        delay = base * (2 ** (attempt - 1)) * jitter
-        metrics.histogram("sweep.retry_backoff_s").observe(delay)
-        for shard in pending:
-            self._backoff_totals[shard.index] = (
-                self._backoff_totals.get(shard.index, 0.0) + delay)
-        self._sleep(delay)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _serial_coverage(config: SweepConfig,
-                         dataset: CharacterizationDataset
-                         ) -> Dict[str, object]:
-        shards_total = (len(config.channels) * len(config.pseudo_channels)
-                        * len(config.banks) * len(config.regions))
-        rows = {record.row_key for record in dataset.ber_records}
-        rows.update(record.row_key for record in dataset.hcfirst_records)
-        return {
-            "shards": {"total": shards_total, "completed": shards_total,
-                       "quarantined": 0},
-            "rows": {"attempted": len(rows), "completed": len(rows),
-                     "quarantined": 0},
-            "complete": True,
-        }
-
-    @staticmethod
-    def _parallel_coverage(plan: ShardPlan,
-                           results: Dict[int, CharacterizationDataset]
-                           ) -> Dict[str, object]:
-        completed = [shard for shard in plan.shards
+    def _reduce(self, shards, results: Dict[int, CharacterizationDataset]
+                ) -> Tuple[CharacterizationDataset, CharacterizationDataset]:
+        """Merge in plan order, then thermal, quarantine and WCDP."""
+        completed = [results[shard.index] for shard in shards
                      if shard.index in results]
-        quarantined = [shard for shard in plan.shards
-                       if shard.index not in results]
-        rows_completed = 0
-        for shard in completed:
-            dataset = results[shard.index]
-            rows = {record.row_key for record in dataset.ber_records}
-            rows.update(record.row_key
-                        for record in dataset.hcfirst_records)
-            rows_completed += len(rows)
-        # A quarantined shard never reported which rows it sampled, so
-        # its loss is accounted at the planned sampling density.
-        rows_quarantined = sum(
-            min(shard.config.rows_per_region, shard.config.region_size)
-            for shard in quarantined)
-        return {
-            "shards": {"total": len(plan.shards),
-                       "completed": len(completed),
-                       "quarantined": len(quarantined)},
-            "rows": {"attempted": rows_completed + rows_quarantined,
-                     "completed": rows_completed,
-                     "quarantined": rows_quarantined},
-            "complete": not quarantined,
-        }
+        dataset = CharacterizationDataset.merged(
+            completed, metadata=sweep_metadata(self._config))
+        thermal = ThermalGuard.merge_metadata(completed)
+        if thermal is not None:
+            dataset.metadata["thermal"] = thermal
+        if self._errors:
+            dataset.metadata["shard_errors"] = [
+                error.as_dict() for error in self._errors]
+            dataset.metadata["coverage"] = self._coverage
+        if self._config.append_wcdp:
+            with get_tracer().span("wcdp"):
+                append_wcdp_records(dataset)
+        return dataset, dataset
 
-    # ------------------------------------------------------------------
-    def _merge_spool(self, plan: ShardPlan,
-                     results: Dict[int, CharacterizationDataset],
-                     spool_dir: str, tracer, metrics, campaign,
+    def _merge_spool(self, shards, spool_dir: str, campaign,
                      dataset: CharacterizationDataset,
                      wall_s: float) -> None:
-        """Fold worker spool files back into the parent collectors.
-
-        Iterates in plan order, so the grafted shard subtrees appear in
-        the merged trace exactly as the serial path would visit them,
-        and builds the per-shard telemetry block.  Shards satisfied from
-        a checkpoint have no spool files and contribute no telemetry —
-        they did no work this run.
-        """
-        obs = ObsConfig(trace=tracer.enabled, metrics=metrics.enabled,
-                        spool_dir=spool_dir)
-        shard_rows: List[Dict[str, object]] = []
-        total_records = 0
-        for shard in plan.shards:
-            if tracer.enabled:
-                trace_path = obs.trace_path(shard.index)
-                if trace_path.exists():
-                    tracer.graft(read_jsonl(trace_path),
-                                 parent_id=campaign.span_id)
-            metrics_path = obs.metrics_path(shard.index)
-            if not metrics_path.exists():
-                continue
-            snapshot = MetricsRegistry.read_snapshot(metrics_path)
-            gauges = snapshot.get("gauges", {})
-            shard_wall = gauges.pop("shard.wall_s", None)
-            shard_records = gauges.pop("shard.records", None)
-            if metrics.enabled:
-                metrics.merge_snapshot(snapshot)
-                if shard_wall:
-                    metrics.histogram("sweep.shard_wall_s").observe(
-                        shard_wall)
-            row: Dict[str, object] = {
-                "shard": shard.index,
-                "channel": shard.channel,
-                "pseudo_channel": shard.pseudo_channel,
-                "bank": shard.bank,
-                "region": shard.region,
-                "wall_s": shard_wall,
-            }
-            if shard_records is not None:
-                total_records += int(shard_records)
-                row["records"] = int(shard_records)
-                if shard_wall:
-                    row["rows_per_s"] = round(shard_records / shard_wall, 3)
-            shard_rows.append(row)
-        dataset.metadata["telemetry"] = {
-            "jobs": self._config.jobs,
-            "wall_s": round(wall_s, 6),
-            "records": total_records,
-            "rows_per_s": (round(total_records / wall_s, 3)
-                           if wall_s > 0 else None),
-            "shards": shard_rows,
-        }
-
-    # ------------------------------------------------------------------
-    def _run_round(self, shards: List[SweepShard],
-                   results: Dict[int, CharacterizationDataset],
-                   failures: Dict[int, BaseException],
-                   aggregator: _ProgressAggregator, attempt: int,
-                   isolate: bool = False) -> List[SweepShard]:
-        """Run one round on the warm pool backend; returns the failures.
-
-        The scheduling semantics (dispatch-armed deadlines, batched
-        submission, zombie accounting, starvation fast-fail, crash
-        containment) live in :class:`~repro.engine.pool.PoolBackend`;
-        this wrapper adapts its callbacks to the runner's
-        retry/checkpoint bookkeeping.  ``isolate=True`` (retry rounds)
-        dispatches sequentially so a crashing shard cannot fail its
-        neighbours — while keeping the pool, and the sessions its
-        workers already built, warm.
-
-        When the backend's crash-loop circuit breaker opens
-        (:class:`~repro.errors.PoolDegradedError`) and ``degrade`` is
-        ``"auto"``, the shards the pool never settled are finished
-        serially in this process — the inline runner is the same code
-        the workers run, so the merged dataset stays byte-identical.
-        """
-        failed: List[SweepShard] = []
-        settled: set = set()
-
-        def record_failure(shard: SweepShard, error: BaseException) -> None:
-            settled.add(shard.index)
-            failures[shard.index] = error
-            failed.append(shard)
-            aggregator.failed(shard, error, attempt)
-
-        def accept(shard: SweepShard,
-                   dataset: CharacterizationDataset) -> None:
-            settled.add(shard.index)
-            self._accept(shard, dataset, results, failures, aggregator,
-                         attempt, record_failure)
-
-        workers = 1 if isolate else min(self._config.jobs, len(shards))
-        try:
-            self._backend.run(list(shards), workers, attempt, accept,
-                              record_failure, sequential=isolate)
-        except PoolDegradedError as error:
-            if self._degrade == "never":
-                raise
-            remaining = [shard for shard in shards
-                         if shard.index not in settled]
-            self._run_degraded(remaining, attempt, accept,
-                               record_failure, error)
-        return failed
-
-    def _run_degraded(self, shards: List[SweepShard], attempt: int,
-                      accept, record_failure,
-                      cause: PoolDegradedError) -> None:
-        """Finish a round serially in-process after the pool gave up.
-
-        The supervised-degradation endgame: the pool's circuit breaker
-        opened (crash loop past budget, or the OS refused to fork), so
-        the remaining shards run inline via the same per-item runner
-        the workers use — slower, but the campaign completes with the
-        same dataset bytes.  Worker-process fault injection (SIGKILL)
-        stays dormant inline by design (see
-        :func:`repro.faults.inject.injure_worker`).
-        """
-        metrics = get_metrics()
-        events = get_events()
-        metrics.counter("sweep.degraded_serial").inc(len(shards))
-        for shard in shards:
-            job = replace(shard, attempt=attempt)
-            events.emit("shard_dispatched", item=shard.index,
-                        attempt=attempt, **item_coords(shard))
-            try:
-                dataset = self._shard_runner(self._spec, job)
-            except Exception as error:
-                record_failure(shard, error)
-            else:
-                accept(shard, dataset)
-            events.tick()
-
-    def _accept(self, shard: SweepShard, dataset: CharacterizationDataset,
-                results: Dict[int, CharacterizationDataset],
-                failures: Dict[int, BaseException],
-                aggregator: _ProgressAggregator, attempt: int,
-                record_failure) -> None:
-        """Integrity-check and register one completed shard dataset."""
-        fingerprint = dataset.metadata.pop("integrity", None)
-        if (fingerprint is not None
-                and fingerprint != dataset.fingerprint()):
-            get_metrics().counter("sweep.shard_poisoned").inc()
-            record_failure(shard, ShardFault(
-                f"shard {shard.describe()} dataset failed its integrity "
-                f"check (readback poisoned in transit)",
-                category="poison"))
-            return
-        if shard.index not in results:
-            results[shard.index] = dataset
-            if self._checkpoint is not None:
-                try:
-                    self._checkpoint.write(shard.index, dataset)
-                    get_metrics().counter(
-                        "campaign.checkpoint_writes").inc()
-                except DiskSpaceError:
-                    # The dataset is safe in memory; the campaign keeps
-                    # going, it just can't checkpoint this shard.  A
-                    # later kill loses only the unspooled shards.
-                    get_metrics().counter(
-                        "campaign.checkpoint_write_errors").inc()
-            get_events().emit("item_completed", item=shard.index,
-                              attempt=attempt, **item_coords(shard),
-                              **dataset_delta(dataset))
-        failures.pop(shard.index, None)
-        aggregator.completed(shard, dataset, attempt)
+        """Fold worker spools back in; telemetry lands in
+        ``dataset.metadata["telemetry"]`` (see
+        :meth:`~repro.core.campaign.CampaignRunner._fold_spool`)."""
+        dataset.metadata["telemetry"] = self._fold_spool(
+            shards, spool_dir, campaign, wall_s)
 
 
 def run_sweep(config: SweepConfig, *, spec: Optional[BoardSpec] = None,

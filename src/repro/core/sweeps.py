@@ -75,8 +75,8 @@ class SweepConfig:
     release_rows_between_regions: bool = True
     #: Synthesize the WCDP records after the sweep (Figs. 3-5 need them).
     append_wcdp: bool = True
-    #: Worker processes for the sweep; 1 = the serial path in this module,
-    #: > 1 = :class:`repro.core.parallel.ParallelSweepRunner` sharding.
+    #: Worker processes: :class:`repro.core.parallel.ParallelSweepRunner`
+    #: shards the sweep over a pool of this many (one worker at 1).
     jobs: int = 1
     #: Per-shard wall-clock timeout for parallel runs (None = unlimited).
     shard_timeout_s: Optional[float] = None

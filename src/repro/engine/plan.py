@@ -7,9 +7,11 @@ and every scheduler consumes the same plan:
 
 * the serial path (:class:`~repro.core.sweeps.SpatialSweep`) runs the
   items in order, in-process;
-* the parallel path (:class:`~repro.core.parallel.ParallelSweepRunner`)
-  partitions the plan into shards (``ShardPlan`` is exactly this
-  stream, one shard per item) and merges results back in plan order;
+* the campaign driver (:class:`~repro.core.campaign.CampaignRunner`,
+  under :class:`~repro.core.parallel.ParallelSweepRunner`) runs the
+  same items on the worker pool, each carrying its narrowed config
+  (``ShardPlan`` is exactly this stream), and merges results back in
+  plan order;
 * checkpoint/resume replays the plan and fills in items already
   satisfied from disk.
 
@@ -44,13 +46,19 @@ def chunk_items(items: Sequence, batch_size: int) -> List[List]:
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One independent unit of a campaign: a (ch, pc, bank, region) cell."""
+    """One independent unit of a campaign: a (ch, pc, bank, region) cell.
+
+    Shipped to a worker, it carries its narrowed ``config`` and the
+    retry round (``attempt``) that injected faults key on.
+    """
 
     index: int
     channel: int
     pseudo_channel: int
     bank: int
     region: str
+    config: object = None
+    attempt: int = 0
 
     def describe(self) -> str:
         return (f"ch{self.channel} pc{self.pseudo_channel} "
@@ -66,7 +74,7 @@ def item_coords(item) -> dict:
     """Deterministic event/telemetry coordinates of a plan item.
 
     Duck-typed over everything the schedulers dispatch — a
-    :class:`WorkItem`, a ``SweepShard`` wrapping one, or a fleet device
+    :class:`WorkItem`, or a fleet device
     (``span_kind == "device"``), which reports (device, seed) instead of
     a grid cell.
     """

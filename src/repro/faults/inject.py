@@ -121,12 +121,12 @@ def _corrupt_readback(result: ExecutionResult) -> ExecutionResult:
 def _in_pool_worker() -> bool:
     """Whether this process is a pool worker (vs. a campaign parent).
 
-    Process faults (SIGKILL) must never fire in inline execution — the
-    fleet's ``jobs=1`` path and the degraded-serial fallback run shards
-    in the *parent*, and killing it would turn a survivable worker
-    fault into a campaign loss (or kill pytest).  The pool initializer
-    installs per-worker state only in real workers, so its presence is
-    the gate.
+    Process-killing faults (SIGKILL, the ``crash`` exit) must never
+    fire in inline execution — the degrade-to-inline fallback runs
+    items in the campaign *parent*, and killing it would turn a
+    survivable worker fault into a campaign loss (or kill pytest).  The
+    pool initializer installs per-worker state only in real workers, so
+    its presence is the gate.
     """
     from repro.engine.pool import _WORKER_STATE
     return bool(_WORKER_STATE)
@@ -145,7 +145,8 @@ def injure_worker(plan: FaultPlan, channel: int, pseudo_channel: int,
       SIGKILL: no exception, no exit handler, exactly the death the
       durable-state layer must survive (only fires in pool workers),
     * ``crash`` — the worker process dies immediately (the parent sees
-      a broken pool / lost future),
+      a broken pool / lost future); run inline, the attempt fails with
+      a ``crash``-category :class:`~repro.errors.ShardFault` instead,
     * ``hang`` — the worker stalls ``hang_s`` seconds before running
       (the parent's shard timeout fires),
     * ``error`` — a :class:`~repro.errors.ShardFault` propagates
@@ -161,6 +162,10 @@ def injure_worker(plan: FaultPlan, channel: int, pseudo_channel: int,
         return
     get_metrics().counter(f"faults.shard.{category}").inc()
     if category == "crash":
+        if not _in_pool_worker():
+            raise ShardFault(
+                f"injected worker crash (attempt {attempt}, inline)",
+                category="crash")
         _exit(13)
     elif category == "hang":
         _sleep(plan.spec.hang_s)

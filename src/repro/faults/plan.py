@@ -101,7 +101,8 @@ class FaultSpec:
     stall_s: float = 0.005
     #: Downlink poison: the readback copy arrives bit-corrupted.
     link_poison: float = 0.0
-    #: Worker crash: the shard's process dies (``os._exit``).
+    #: Worker crash: the shard's process dies (``os._exit``); run
+    #: inline, the attempt fails as a ``crash`` fault instead.
     shard_crash: float = 0.0
     #: Worker hang: the shard stalls ``hang_s`` seconds before running.
     shard_hang: float = 0.0

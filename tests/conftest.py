@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import durable
 from repro.bender.board import BenderBoard, make_paper_setup
 from repro.dram.calibration import DeviceProfile, default_profile
 from repro.dram.device import HBM2Device
@@ -61,6 +62,20 @@ def make_vulnerable_device(seed: int = 0, **kwargs) -> HBM2Device:
     kwargs.setdefault("geometry", SMALL_GEOMETRY)
     kwargs.setdefault("profile", vulnerable_profile())
     return HBM2Device(seed=seed, **kwargs)
+
+
+@pytest.fixture(autouse=True)
+def _per_test_io_fault_stream():
+    """Give every test its own durable-write counters.
+
+    Injected IO faults (``$REPRO_FAULTS`` ``io_*`` rates) key on
+    per-file write counts that otherwise live for the whole pytest
+    process; the kill -9 drills leave a pool-order-dependent set of
+    archives behind, so without a reset a later test's chaos schedule
+    would depend on which tests ran before it and how their pools
+    happened to finish.
+    """
+    durable.reset_io_state()
 
 
 @pytest.fixture

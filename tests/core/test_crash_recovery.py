@@ -1,18 +1,14 @@
-"""Crash-safety tests: kill -9 at every shard boundary, corrupt-archive
-self-healing, and supervised degradation to serial execution.
+"""Crash-safety tests: kill -9 at every item boundary, corrupt-archive
+self-healing, and supervised degradation to inline execution.
 
 These are the acceptance tests for the durability layer
 (:mod:`repro.durable`): a campaign killed at *any* seeded point must
-resume to a byte-identical dataset; a checksum-corrupted shard archive
+resume to a byte-identical result; a checksum-corrupted shard archive
 must be quarantined and recomputed, never merged or crashed on; and a
 crash-looping worker pool must trip its circuit breaker and finish the
-campaign serially with identical output.
-
-The fault-injection shard runners live at module level so the process
-pool can pickle them by reference.  Crash runners gate on
-``pool._WORKER_STATE`` (installed only by the pool initializer) so the
-degraded-serial fallback — which runs the same runner inline in the
-parent — succeeds where the workers died.
+campaign inline with identical output.  Sweeps and fleets run on the
+same campaign driver, so every drill runs for both kinds (see
+:mod:`tests.core.kinds`).
 """
 
 import contextlib
@@ -37,8 +33,9 @@ from repro.errors import PoolDegradedError
 from repro.faults.plan import FaultSpec
 from repro.obs import MetricsRegistry, use_metrics
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
+from tests.core.kinds import FLEET, ITEMS, KINDS, SWEEP
 
-SHARDS = 6  # 2 channels x 1 bank x 3 regions in the lean topology
+SHARDS = ITEMS  # 2 channels x 1 bank x 3 regions, or 6 fleet devices
 
 
 def small_spec() -> BoardSpec:
@@ -65,12 +62,8 @@ def lean_config(**overrides) -> SweepConfig:
     return SweepConfig(**defaults)
 
 
-def _archive_bytes(dataset, path):
-    dataset.to_json(path)
-    return path.read_bytes()
-
-
-def _campaign_child(campaign_dir: str, kill_after: int) -> None:
+def _campaign_child(kind_name: str, campaign_dir: str,
+                    kill_after: int) -> None:
     """Forked campaign parent that dies at the kill point.
 
     The fork inherits pytest's durable write counters and (unread) kill
@@ -81,8 +74,8 @@ def _campaign_child(campaign_dir: str, kill_after: int) -> None:
     os.setpgrp()
     os.environ[KILL_VAR] = str(kill_after)
     durable.reset_io_state()
-    ParallelSweepRunner(small_spec(), lean_config(jobs=2),
-                        campaign_dir=Path(campaign_dir)).run()
+    KINDS[kind_name].runner(jobs=2, faults=FaultSpec(),
+                            campaign_dir=Path(campaign_dir)).run()
 
 
 def _await_death(child, timeout_s: float = 60.0):
@@ -103,29 +96,27 @@ def _await_death(child, timeout_s: float = 60.0):
     return exitcode
 
 
-def _crash_in_pool_workers(spec, shard):
-    """Hard-kill every pool worker; succeed when run inline (degraded)."""
-    if pool._WORKER_STATE:
-        os._exit(13)
-    return pool.run_shard(spec, shard)
-
-
-@pytest.fixture(scope="module")
-def baseline_bytes(tmp_path_factory):
-    """The uninterrupted campaign's archive — the byte-identity oracle."""
+@pytest.fixture(scope="class")
+def baseline_bytes(request, tmp_path_factory):
+    """The uninterrupted campaign's archive — the byte-identity oracle
+    for the test class's campaign kind."""
+    kind = request.cls.kind
     scratch = tmp_path_factory.mktemp("baseline")
-    dataset = ParallelSweepRunner(small_spec(), lean_config(jobs=2)).run()
-    return _archive_bytes(dataset, scratch / "baseline.json")
+    result = kind.runner(jobs=2, faults=FaultSpec()).run()
+    return kind.artifact(result, scratch / "baseline.json")
 
 
 class TestKillNineAtEveryShardBoundary:
+    kind = SWEEP
+
     @pytest.mark.parametrize("kill_after", range(1, SHARDS + 1))
     def test_resume_is_byte_identical(self, tmp_path, baseline_bytes,
                                       kill_after):
+        kind = self.kind
         campaign = tmp_path / "campaign"
         context = multiprocessing.get_context("fork")
         child = context.Process(target=_campaign_child,
-                                args=(str(campaign), kill_after))
+                                args=(kind.name, str(campaign), kill_after))
         child.start()
         exitcode = _await_death(child)
         assert exitcode == -9, \
@@ -137,8 +128,8 @@ class TestKillNineAtEveryShardBoundary:
         assert len(archives) == kill_after
 
         metrics = MetricsRegistry()
-        resumed = ParallelSweepRunner(small_spec(), lean_config(jobs=2),
-                                      campaign_dir=campaign)
+        resumed = kind.runner(jobs=2, faults=FaultSpec(),
+                              campaign_dir=campaign)
         with use_metrics(metrics):
             dataset = resumed.run()
 
@@ -146,21 +137,27 @@ class TestKillNineAtEveryShardBoundary:
         assert counters["campaign.checkpoint_loads"] == kill_after
         assert counters.get("campaign.recovered_shards", 0) == 0
         assert resumed.coverage["complete"] is True
-        assert _archive_bytes(dataset, tmp_path / "resumed.json") == \
+        assert kind.artifact(dataset, tmp_path / "resumed.json") == \
             baseline_bytes
 
 
+class TestKillNineAtEveryDeviceBoundary(TestKillNineAtEveryShardBoundary):
+    kind = FLEET
+
+
 class TestCorruptArchiveSelfHealing:
+    kind = SWEEP
+
     def _completed_campaign(self, tmp_path):
         campaign = tmp_path / "campaign"
-        ParallelSweepRunner(small_spec(), lean_config(jobs=2),
-                            campaign_dir=campaign).run()
+        self.kind.runner(jobs=2, faults=FaultSpec(),
+                         campaign_dir=campaign).run()
         return campaign
 
     def _resume(self, campaign):
         metrics = MetricsRegistry()
-        runner = ParallelSweepRunner(small_spec(), lean_config(jobs=2),
-                                     campaign_dir=campaign)
+        runner = self.kind.runner(jobs=2, faults=FaultSpec(),
+                                  campaign_dir=campaign)
         with use_metrics(metrics):
             dataset = runner.run()
         return dataset, metrics.snapshot()["counters"]
@@ -179,7 +176,7 @@ class TestCorruptArchiveSelfHealing:
         assert (campaign / "shard_00002.json.corrupt").exists()
         # The archive was recomputed in place, and verifies again.
         read_artifact(victim, kind="shard")
-        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+        assert self.kind.artifact(dataset, tmp_path / "healed.json") == \
             baseline_bytes
 
     def test_truncated_shard_quarantined_and_recomputed(
@@ -191,7 +188,7 @@ class TestCorruptArchiveSelfHealing:
         dataset, counters = self._resume(campaign)
         assert counters["campaign.recovered_shards"] == 1
         assert (campaign / "shard_00004.json.corrupt").exists()
-        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+        assert self.kind.artifact(dataset, tmp_path / "healed.json") == \
             baseline_bytes
 
     def test_foreign_shard_stamp_quarantined(self, tmp_path,
@@ -207,7 +204,7 @@ class TestCorruptArchiveSelfHealing:
         dataset, counters = self._resume(campaign)
         assert counters["campaign.recovered_shards"] == 1
         assert (campaign / "shard_00001.json.corrupt").exists()
-        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+        assert self.kind.artifact(dataset, tmp_path / "healed.json") == \
             baseline_bytes
 
     def test_corrupt_manifest_quarantined_and_rewritten(
@@ -224,17 +221,23 @@ class TestCorruptArchiveSelfHealing:
         # because the shard stamps alone re-established provenance.
         artifact = read_artifact(manifest, kind="campaign-manifest")
         assert artifact.payload["fingerprint"]
-        assert _archive_bytes(dataset, tmp_path / "healed.json") == \
+        assert self.kind.artifact(dataset, tmp_path / "healed.json") == \
             baseline_bytes
 
 
+class TestCorruptArchiveSelfHealingFleet(TestCorruptArchiveSelfHealing):
+    kind = FLEET
+
+
 class TestSupervisedDegradation:
+    kind = SWEEP
+
     def test_crash_loop_degrades_to_serial_with_identical_output(
             self, tmp_path, baseline_bytes):
+        kind = self.kind
         metrics = MetricsRegistry()
-        runner = ParallelSweepRunner(small_spec(),
-                                     lean_config(jobs=2), max_retries=2,
-                                     shard_runner=_crash_in_pool_workers)
+        runner = kind.runner(jobs=2, max_retries=2,
+                             **kind.crash_in_pool_workers())
         with use_metrics(metrics):
             dataset = runner.run()
 
@@ -243,15 +246,14 @@ class TestSupervisedDegradation:
         counters = metrics.snapshot()["counters"]
         assert counters["engine.pool.breaker_open"] >= 1
         assert counters["engine.pool.worker_crashes"] >= 1
-        assert counters["sweep.degraded_serial"] >= 1
-        assert _archive_bytes(dataset, tmp_path / "degraded.json") == \
+        assert counters[f"{kind.name}.degraded_serial"] >= 1
+        assert kind.artifact(dataset, tmp_path / "degraded.json") == \
             baseline_bytes
 
     def test_degrade_never_surfaces_the_breaker(self, tmp_path):
-        runner = ParallelSweepRunner(small_spec(),
-                                     lean_config(jobs=2), max_retries=2,
-                                     shard_runner=_crash_in_pool_workers,
-                                     degrade="never")
+        kind = self.kind
+        runner = kind.runner(jobs=2, max_retries=2, degrade="never",
+                             **kind.crash_in_pool_workers())
         with pytest.raises(PoolDegradedError) as excinfo:
             runner.run()
         assert excinfo.value.crashes >= 1
@@ -259,28 +261,52 @@ class TestSupervisedDegradation:
     def test_crash_budget_env_tightens_the_breaker(self, tmp_path,
                                                    monkeypatch,
                                                    baseline_bytes):
+        kind = self.kind
         monkeypatch.setenv(pool.CRASH_BUDGET_VAR, "1")
-        runner = ParallelSweepRunner(small_spec(),
-                                     lean_config(jobs=2), max_retries=2,
-                                     shard_runner=_crash_in_pool_workers)
+        runner = kind.runner(jobs=2, max_retries=2,
+                             **kind.crash_in_pool_workers())
         dataset = runner.run()
         assert runner.errors == ()
-        assert _archive_bytes(dataset, tmp_path / "degraded.json") == \
+        assert kind.artifact(dataset, tmp_path / "degraded.json") == \
             baseline_bytes
 
 
+class TestSupervisedDegradationFleet(TestSupervisedDegradation):
+    kind = FLEET
+
+
+class TestInjectedCrashInline:
+    @pytest.mark.parametrize("kind_name, jobs, budget",
+                             [("sweep", 2, "1"), ("fleet", 1, None)])
+    def test_injected_crash_inline_is_quarantined_not_fatal(
+            self, monkeypatch, kind_name, jobs, budget):
+        """An injected ``crash`` draw on an item running inline — the
+        degrade fallback — fails that attempt instead of exiting the
+        campaign parent; every item ends quarantined as ``crash``."""
+        if budget is not None:
+            monkeypatch.setenv(pool.CRASH_BUDGET_VAR, budget)
+        kind = KINDS[kind_name]
+        runner = kind.runner(jobs=jobs, faults=FaultSpec(shard_crash=1.0))
+        runner.run()
+        assert len(runner.errors) == SHARDS
+        assert {error.fault_category for error in runner.errors} == \
+            {"crash"}
+        assert runner.coverage[kind.unit]["quarantined"] == SHARDS
+
+
 class TestCheckpointSurvivesDiskPressure:
+    kind = SWEEP
+
     def test_enospc_on_checkpoint_write_does_not_kill_the_campaign(
             self, tmp_path, baseline_bytes):
         """Injected ENOSPC on every shard-archive write: the campaign
         keeps its results in memory and still merges byte-identically;
         only the checkpoints are lost."""
+        kind = self.kind
         campaign = tmp_path / "campaign"
         faults = FaultSpec(seed=3, io_enospc=1.0)
         metrics = MetricsRegistry()
-        runner = ParallelSweepRunner(small_spec(),
-                                     lean_config(jobs=2, faults=faults),
-                                     campaign_dir=campaign)
+        runner = kind.runner(jobs=2, faults=faults, campaign_dir=campaign)
         with use_metrics(metrics):
             dataset = runner.run()
 
@@ -289,8 +315,13 @@ class TestCheckpointSurvivesDiskPressure:
         assert counters["campaign.checkpoint_write_errors"] == SHARDS + 1
         assert counters.get("campaign.checkpoint_writes", 0) == 0
         assert not list(campaign.glob("shard_*.json"))
-        assert _archive_bytes(dataset, tmp_path / "merged.json") == \
+        assert kind.artifact(dataset, tmp_path / "merged.json") == \
             baseline_bytes
+
+
+class TestCheckpointSurvivesDiskPressureFleet(
+        TestCheckpointSurvivesDiskPressure):
+    kind = FLEET
 
 
 class TestEnvelopeFormat:

@@ -16,6 +16,9 @@ from repro.core.patterns import ROWSTRIPE0
 from repro.core.results import REGION_FIRST
 from repro.core.sweeps import SweepConfig
 from repro.errors import CampaignStateError, ExperimentError
+from repro.faults.plan import FaultSpec
+from repro.obs import MetricsRegistry, use_events, use_metrics
+from repro.obs.events import EventBus, read_events
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
 
 
@@ -130,6 +133,39 @@ class TestFleetRun:
         assert result.dataset.metadata["fleet"]["devices"] == 5
         assert result.dataset.metadata["fleet"]["completed"] == 5
         assert result.dataset.metadata["fleet"]["base_seed"] == 10
+
+
+class TestFleetOnTheCampaignDriver:
+    """Fleets share the sweep's campaign driver: same retry events, same
+    checkpoint accounting, same per-item timeout at every jobs level."""
+
+    def test_transient_error_retries_carry_their_category(self, tmp_path):
+        faults = FaultSpec(seed=1, shard_error=0.15)  # device 3, once
+        runner = FleetRunner(fleet_config(sweep=fleet_sweep(faults=faults)))
+        bus = EventBus(tmp_path / "events.jsonl")
+        with use_events(bus):
+            runner.run()
+        assert runner.errors == ()
+        retries = [event for event in read_events(bus.path)
+                   if event.type == "retry"]
+        assert [event.item for event in retries] == [3]
+        assert all(event.data["category"] == "error" for event in retries)
+
+    def test_checkpoint_writes_are_counted(self, tmp_path):
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            FleetRunner(fleet_config(), campaign_dir=tmp_path / "fleet").run()
+        counters = metrics.snapshot()["counters"]
+        assert counters["campaign.checkpoint_writes"] == 5
+
+    def test_device_timeout_applies_at_one_job(self):
+        faults = FaultSpec(shard_hang=1.0, hang_s=3.0)
+        runner = FleetRunner(fleet_config(
+            devices=1, jobs=1, max_retries=0, device_timeout_s=0.5,
+            sweep=fleet_sweep(faults=faults)))
+        runner.run()
+        assert [(error.index, error.fault_category)
+                for error in runner.errors] == [(0, "timeout")]
 
 
 class TestPopulationSummary:

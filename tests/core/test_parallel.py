@@ -16,12 +16,13 @@ from repro.core import parallel
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import ParallelSweepRunner, ShardPlan, run_sweep
 from repro.core.patterns import ROWSTRIPE0, ROWSTRIPE1
-from repro.core.results import REGION_FIRST, REGION_MIDDLE, REGIONS
+from repro.core.results import REGION_MIDDLE, REGIONS
 from repro.core.sweeps import SpatialSweep, SweepConfig
 from repro.errors import CampaignStateError, ExperimentError
 from repro.faults.plan import FaultSpec
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from tests.conftest import SMALL_GEOMETRY, vulnerable_profile
+from tests.core.kinds import FLEET, SWEEP
 
 
 def small_spec() -> BoardSpec:
@@ -77,6 +78,14 @@ def _break_inside_run_shard(spec, shard):
     if shard.channel == 1 and shard.region == REGION_MIDDLE:
         spec = replace(spec, wordline_voltage_v=-5.0)  # fails at build()
     return parallel.run_shard(spec, shard)
+
+
+def _strip_integrity_of_ch1_middle(spec, shard):
+    """Hand one shard's dataset back without its integrity stamp."""
+    dataset = parallel.run_shard(spec, shard)
+    if shard.channel == 1 and shard.region == REGION_MIDDLE:
+        dataset.metadata.pop("integrity")
+    return dataset
 
 
 def _counting_run_shard(spec, shard):
@@ -203,6 +212,18 @@ class TestFaultTolerance:
         expected = {(channel, region) for channel in (0, 1)
                     for region in REGIONS} - {(1, REGION_MIDDLE)}
         assert measured == expected
+
+
+    def test_dataset_without_integrity_stamp_is_poison(self):
+        """A dataset handed back without its worker's integrity stamp
+        is unverifiable, so it is rejected as poison, not accepted."""
+        runner = ParallelSweepRunner(
+            small_spec(), lean_config(jobs=2),
+            shard_runner=_strip_integrity_of_ch1_middle)
+        runner.run()
+        assert [(error.channel, error.region, error.fault_category)
+                for error in runner.errors] == \
+            [(1, REGION_MIDDLE, "poison")]
 
 
 class TestRunSweepDispatch:
@@ -365,9 +386,10 @@ class TestObservability:
         assert (1, REGION_MIDDLE) in measured
 
     def test_aggregator_is_idempotent_per_shard(self):
+        from repro.core.campaign import _ProgressAggregator
         shard = ShardPlan.from_config(lean_config()).shards[0]
         messages = []
-        aggregator = parallel._ProgressAggregator(2, messages.append)
+        aggregator = _ProgressAggregator(2, messages.append, "shards")
         dataset = _FakeDataset(ber=3, hcfirst=1)
         assert aggregator.completed(shard, dataset, attempt=0) is True
         # e.g. a timed-out shard that still finished, then passed retry:
@@ -382,7 +404,60 @@ def _archive_bytes(dataset, path):
     return path.read_bytes()
 
 
-class TestInjectedFaultRecovery:
+class _PoisonRecovery:
+    """Poisoned-readback recovery and quarantine coverage, run for each
+    campaign kind: the campaign driver's integrity check serves sweeps and
+    fleets alike.  ``FaultSpec(seed=8, shard_poison=0.15)`` poisons
+    exactly one item of either lean campaign on attempt 0 and draws
+    clean on retry."""
+
+    kind = SWEEP
+
+    def test_poisoned_readback_detected_and_retried(self, tmp_path):
+        kind = self.kind
+        faults = FaultSpec(seed=8, shard_poison=0.15)  # 1 item poisoned
+        runner = kind.runner(jobs=2, faults=faults)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            result = runner.run()
+
+        assert runner.errors == ()
+        counters = metrics.snapshot()["counters"]
+        assert counters[f"{kind.metric}_poisoned"] == 1
+        assert counters[f"{kind.metric}_retries"] == 1
+        clean = kind.runner(jobs=2, faults=FaultSpec()).run()
+        assert kind.artifact(result, tmp_path / "faulty.json") == \
+            kind.artifact(clean, tmp_path / "clean.json")
+
+    def test_exhausted_retries_quarantine_with_exact_coverage(self,
+                                                              tmp_path):
+        kind = self.kind
+        faults = FaultSpec(seed=8, shard_poison=0.15)
+        runner = kind.runner(jobs=2, faults=faults, max_retries=0)
+        result = runner.run()
+
+        assert len(runner.errors) == 1
+        error = runner.errors[0]
+        assert kind.where(error) == kind.poisoned_at
+        assert error.fault_category == "poison"
+        assert error.attempts == 1
+        archived = error.as_dict()
+        assert archived["fault_category"] == "poison"
+
+        expected_coverage = {
+            kind.unit: {"total": 6, "completed": 5, "quarantined": 1},
+            "rows": {"attempted": 12, "completed": 10, "quarantined": 2},
+            "complete": False,
+        }
+        assert runner.coverage == expected_coverage
+        assert kind.archived_errors(result, tmp_path / "archive.json") == \
+            [archived]
+        if kind is SWEEP:
+            assert archived["backoff_s"] == 0.0
+            assert result.metadata["coverage"] == expected_coverage
+
+
+class TestInjectedFaultRecovery(_PoisonRecovery):
     """Campaigns under seeded fault plans.  The seeds were chosen (by
     searching the deterministic schedules) so that specific shards of
     the lean topology are injured on attempt 0 and draw clean on retry;
@@ -450,48 +525,8 @@ class TestInjectedFaultRecovery:
         assert _archive_bytes(dataset, tmp_path / "faulty.json") == \
             _archive_bytes(clean, tmp_path / "clean.json")
 
-    def test_poisoned_readback_detected_and_retried(self, tmp_path):
-        spec = small_spec()
-        faults = FaultSpec(seed=8, shard_poison=0.15)  # 1 shard poisoned
-        runner = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=faults))
-        metrics = MetricsRegistry()
-        with use_metrics(metrics):
-            dataset = runner.run()
-
-        assert runner.errors == ()
-        counters = metrics.snapshot()["counters"]
-        assert counters["sweep.shard_poisoned"] == 1
-        assert counters["sweep.shard_retries"] == 1
-        clean = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=FaultSpec())).run()
-        assert _archive_bytes(dataset, tmp_path / "faulty.json") == \
-            _archive_bytes(clean, tmp_path / "clean.json")
-
-    def test_exhausted_retries_quarantine_with_exact_coverage(self):
-        spec = small_spec()
-        faults = FaultSpec(seed=8, shard_poison=0.15)
-        runner = ParallelSweepRunner(
-            spec, lean_config(jobs=2, faults=faults), max_retries=0)
-        dataset = runner.run()
-
-        assert len(runner.errors) == 1
-        error = runner.errors[0]
-        assert (error.channel, error.region) == (1, REGION_FIRST)
-        assert error.fault_category == "poison"
-        assert error.attempts == 1
-        archived = error.as_dict()
-        assert archived["fault_category"] == "poison"
-        assert archived["backoff_s"] == 0.0
-
-        expected_coverage = {
-            "shards": {"total": 6, "completed": 5, "quarantined": 1},
-            "rows": {"attempted": 12, "completed": 10, "quarantined": 2},
-            "complete": False,
-        }
-        assert runner.coverage == expected_coverage
-        assert dataset.metadata["coverage"] == expected_coverage
-        assert dataset.metadata["shard_errors"] == [archived]
+class TestPoisonRecoveryFleet(_PoisonRecovery):
+    kind = FLEET
 
 
 class TestRetryBackoff:

@@ -2,12 +2,12 @@
 
 The determinism contract under test: the event log's ``strip_timing``
 view (payloads minus the wall-clock ``timing`` sub-object) is identical
-whether a campaign runs serial, pooled, or killed-and-resumed.
+whether a campaign runs on one worker, pooled, or killed-and-resumed —
+for sweeps and fleets alike.
 """
 
 import pytest
 
-from repro.core.parallel import ParallelSweepRunner
 from repro.errors import AnalysisError
 from repro.obs import use_events
 from repro.obs.events import (
@@ -18,7 +18,7 @@ from repro.obs.events import (
     read_events,
     strip_timing,
 )
-from tests.core.test_parallel import lean_config, small_spec
+from tests.core.kinds import FLEET, SWEEP
 
 
 class TestEventSchema:
@@ -112,32 +112,36 @@ class TestTickDispatch:
 
 
 def _campaign_events(tmp_path, name, jobs, campaign_dir=None,
-                     interrupt_after=None, max_retries=1):
-    """Run the lean sweep with events on; return the finalized log."""
+                     interrupt_after=None, max_retries=1, kind=SWEEP):
+    """Run the lean campaign with events on; return its dataset and
+    the finalized log."""
     path = tmp_path / f"{name}.jsonl"
     bus = EventBus(path)
-    runner = ParallelSweepRunner(small_spec(), lean_config(jobs=jobs),
-                                 max_retries=max_retries,
-                                 campaign_dir=campaign_dir)
+    runner = kind.runner(jobs=jobs, max_retries=max_retries,
+                         campaign_dir=campaign_dir)
     with use_events(bus):
-        dataset = runner.run()
-    return dataset, read_events(path)
+        result = runner.run()
+    return kind.dataset(result), read_events(path)
 
 
 class TestCrossModeStability:
+    kind = SWEEP
+
     def test_events_identical_across_jobs_levels_and_resume(self, tmp_path):
-        serial_dataset, serial = _campaign_events(tmp_path, "serial", 1)
-        pooled_dataset, pooled = _campaign_events(tmp_path, "pooled", 2)
+        kind = self.kind
+        serial_dataset, serial = _campaign_events(tmp_path, "serial", 1,
+                                                  kind=kind)
+        pooled_dataset, pooled = _campaign_events(tmp_path, "pooled", 2,
+                                                  kind=kind)
 
         # Resume: fill a campaign directory without events, lose half
         # the checkpoints ("killed mid-run"), then rerun with events.
         campaign = tmp_path / "ckpt"
-        ParallelSweepRunner(small_spec(), lean_config(jobs=2),
-                            campaign_dir=campaign).run()
+        kind.runner(jobs=2, campaign_dir=campaign).run()
         for index in (1, 3, 5):
             (campaign / f"shard_{index:05d}.json").unlink()
         resumed_dataset, resumed = _campaign_events(
-            tmp_path, "resumed", 2, campaign_dir=campaign)
+            tmp_path, "resumed", 2, campaign_dir=campaign, kind=kind)
 
         assert pooled_dataset.ber_records == serial_dataset.ber_records
         assert resumed_dataset.ber_records == serial_dataset.ber_records
@@ -148,11 +152,12 @@ class TestCrossModeStability:
         assert "checkpoint" in sources
 
     def test_event_log_covers_the_whole_lifecycle(self, tmp_path):
-        _, events = _campaign_events(tmp_path, "lifecycle", 2)
+        _, events = _campaign_events(tmp_path, "lifecycle", 2,
+                                     kind=self.kind)
         kinds = [event.type for event in events]
         assert kinds[0] == "campaign_started"
         assert kinds[-1] == "campaign_finished"
-        plan_size = events[0].data["shards"]
+        plan_size = events[0].data[self.kind.unit]
         completed = [e for e in events if e.type == "item_completed"]
         heartbeats = [e for e in events if e.type == "worker_heartbeat"]
         dispatched = [e for e in events if e.type == "shard_dispatched"]
@@ -169,6 +174,10 @@ class TestCrossModeStability:
         # the merged dataset, so it dominates the per-item sum.
         assert finished.data["records"] >= sum(
             e.data["records"] for e in completed)
+
+
+class TestCrossModeStabilityFleet(TestCrossModeStability):
+    kind = FLEET
 
 
 class TestDatasetDelta:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Crash-loop drill: kill a live campaign at every shard boundary and
+"""Crash-loop drill: kill a live campaign at every item boundary and
 prove resume is byte-identical.
 
 The CI crash-recovery job's second stage (after tier-1 under chaos
@@ -11,13 +11,17 @@ rename — and asserts:
 * the child actually died by SIGKILL (a survivor means the kill hook
   regressed);
 * exactly N complete shard archives exist, none torn;
-* ``--resume`` completes the campaign and the final dataset is
+* ``--resume`` completes the campaign and the final result is
   **byte-identical** to an uninterrupted run's;
 * resume loaded exactly N checkpoints and recomputed the rest.
 
-A final quarantine drill flips one bit in a finished campaign's shard
-archive and asserts the corrupt file is quarantined to ``*.corrupt``
-and transparently recomputed — again byte-identically.
+The drill runs twice, on both campaign kinds the campaign driver serves: a
+sharded sweep (killed at every shard boundary) and a small fleet
+(killed at every device boundary, the resumed ``FleetResult`` summary
+and merged dataset compared byte for byte).  A final quarantine drill
+flips one bit in a finished sweep's shard archive and asserts the
+corrupt file is quarantined to ``*.corrupt`` and transparently
+recomputed — again byte-identically.
 
 Usage::
 
@@ -42,8 +46,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bender.board import BoardSpec  # noqa: E402
 from repro.core.experiment import ExperimentConfig  # noqa: E402
+from repro.core.fleet import FleetConfig, FleetRunner  # noqa: E402
 from repro.core.parallel import ParallelSweepRunner  # noqa: E402
 from repro.core.patterns import ROWSTRIPE0  # noqa: E402
+from repro.core.results import REGION_FIRST  # noqa: E402
 from repro.core.sweeps import SweepConfig  # noqa: E402
 from repro.dram.calibration import default_profile  # noqa: E402
 from repro.dram.geometry import HBM2Geometry  # noqa: E402
@@ -52,6 +58,7 @@ from repro.faults.plan import FaultSpec  # noqa: E402
 from repro.obs import MetricsRegistry, use_metrics  # noqa: E402
 
 SHARDS = 6  # 2 channels x 1 bank x 3 regions
+DEVICES = 4
 
 
 def drill_spec() -> BoardSpec:
@@ -88,12 +95,40 @@ def drill_config(**overrides) -> SweepConfig:
     return SweepConfig(**defaults)
 
 
+def drill_fleet(campaign_dir=None) -> FleetRunner:
+    """A small fleet on the drill station: one BER region per device."""
+    sweep = drill_config(channels=(0,), regions=(REGION_FIRST,),
+                         append_wcdp=False)
+    config = FleetConfig(devices=DEVICES, base_seed=5, jobs=2,
+                         spec=drill_spec(), sweep=sweep)
+    return FleetRunner(config, campaign_dir=campaign_dir)
+
+
 def archive_bytes(dataset, path: Path) -> bytes:
     dataset.to_json(path)
     return path.read_bytes()
 
 
-def run_child(campaign: Path, kill_after: int) -> int:
+def fleet_bytes(result, path: Path) -> bytes:
+    """The fleet's summary archive followed by its merged dataset."""
+    result.to_json(path)
+    return path.read_bytes() + archive_bytes(result.dataset, path)
+
+
+#: Each kill-drilled campaign kind: (items, child entry, resumed bytes).
+KINDS = {
+    "sweep": (SHARDS,
+              lambda campaign: ParallelSweepRunner(
+                  drill_spec(), drill_config(jobs=2),
+                  campaign_dir=campaign).run(),
+              archive_bytes),
+    "fleet": (DEVICES,
+              lambda campaign: drill_fleet(campaign).run(),
+              fleet_bytes),
+}
+
+
+def run_child(kind: str, campaign: Path, kill_after: int) -> int:
     """One doomed campaign in a subprocess; returns its exit code.
 
     The child gets its own session (= process group) so the pool
@@ -105,7 +140,7 @@ def run_child(campaign: Path, kill_after: int) -> int:
     env[KILL_VAR] = str(kill_after)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     child = subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--child",
+        [sys.executable, str(Path(__file__).resolve()), "--child", kind,
          str(campaign)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
@@ -119,20 +154,19 @@ def run_child(campaign: Path, kill_after: int) -> int:
     return code
 
 
-def resume(campaign: Path):
+def resume(campaign: Path, kind: str = "sweep"):
     metrics = MetricsRegistry()
-    runner = ParallelSweepRunner(drill_spec(), drill_config(jobs=2),
-                                 campaign_dir=campaign)
     with use_metrics(metrics):
-        dataset = runner.run()
-    return dataset, metrics.snapshot()["counters"]
+        result = KINDS[kind][1](campaign)
+    return result, metrics.snapshot()["counters"]
 
 
-def kill_drills(baseline: bytes, scratch: Path) -> int:
+def kill_drills(kind: str, baseline: bytes, scratch: Path) -> int:
+    items, _, to_bytes = KINDS[kind]
     failures = 0
-    for kill_after in range(1, SHARDS + 1):
-        campaign = scratch / f"kill-{kill_after}"
-        code = run_child(campaign, kill_after)
+    for kill_after in range(1, items + 1):
+        campaign = scratch / f"{kind}-kill-{kill_after}"
+        code = run_child(kind, campaign, kill_after)
         problems = []
         if code != -signal.SIGKILL:
             problems.append(f"child exited {code}, expected SIGKILL")
@@ -147,17 +181,16 @@ def kill_drills(baseline: bytes, scratch: Path) -> int:
                 problems.append(f"{archive.name} failed verification: "
                                 f"{error}")
         if not problems:
-            dataset, counters = resume(campaign)
+            result, counters = resume(campaign, kind)
             if counters.get("campaign.checkpoint_loads") != kill_after:
                 problems.append(
                     f"resume loaded "
                     f"{counters.get('campaign.checkpoint_loads', 0)} "
                     f"checkpoints, expected {kill_after}")
-            healed = archive_bytes(dataset, campaign / "final.json")
-            if healed != baseline:
-                problems.append("resumed dataset differs from baseline")
+            if to_bytes(result, campaign / "final.json") != baseline:
+                problems.append(f"resumed {kind} differs from baseline")
         verdict = "ok" if not problems else "FAIL: " + "; ".join(problems)
-        print(f"kill after {kill_after}/{SHARDS} shard writes ... "
+        print(f"{kind}: kill after {kill_after}/{items} item writes ... "
               f"{verdict}")
         failures += bool(problems)
     return failures
@@ -187,10 +220,9 @@ def quarantine_drill(baseline: bytes, scratch: Path) -> int:
     return bool(problems)
 
 
-def child_main(campaign: str) -> int:
+def child_main(kind: str, campaign: str) -> int:
     """The doomed campaign: runs until the durable store kills it."""
-    ParallelSweepRunner(drill_spec(), drill_config(jobs=2),
-                        campaign_dir=Path(campaign)).run()
+    KINDS[kind][1](Path(campaign))
     return 0  # only reached if the kill hook failed to fire
 
 
@@ -198,14 +230,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Kill a live campaign at every shard boundary and "
                     "assert resume is byte-identical.")
-    parser.add_argument("--child", metavar="CAMPAIGN_DIR",
+    parser.add_argument("--child", nargs=2,
+                        metavar=("KIND", "CAMPAIGN_DIR"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--keep", metavar="DIR", type=Path,
                         help="run drills under DIR and keep the state "
                              "(default: a temp dir, removed on success)")
     args = parser.parse_args(argv)
     if args.child:
-        return child_main(args.child)
+        return child_main(*args.child)
 
     scratch = args.keep or Path(tempfile.mkdtemp(prefix="crashloop-"))
     scratch.mkdir(parents=True, exist_ok=True)
@@ -213,14 +246,17 @@ def main(argv=None) -> int:
         ParallelSweepRunner(drill_spec(), drill_config(jobs=2)).run(),
         scratch / "baseline.json")
 
-    failures = kill_drills(baseline, scratch)
+    failures = kill_drills("sweep", baseline, scratch)
     failures += quarantine_drill(baseline, scratch)
+    failures += kill_drills(
+        "fleet", fleet_bytes(drill_fleet().run(),
+                             scratch / "fleet-baseline.json"), scratch)
 
     if failures:
         print(f"{failures} drill(s) failed; campaign state kept in "
               f"{scratch}")
         return 1
-    print(f"all {SHARDS + 1} crash drills passed")
+    print(f"all {SHARDS + DEVICES + 1} crash drills passed")
     if args.keep is None:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
