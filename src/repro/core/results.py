@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from repro.errors import AnalysisError
 
@@ -83,6 +85,23 @@ class HcFirstRecord:
 
 
 Record = Union[BerRecord, HcFirstRecord]
+
+#: Field names of each record class, in declaration order: the key
+#: order of the archived record mappings and the CSV column order.
+_BER_FIELDS = tuple(f.name for f in fields(BerRecord))
+_HCFIRST_FIELDS = tuple(f.name for f in fields(HcFirstRecord))
+
+
+def _mappings(names: Tuple[str, ...],
+              records: Iterable[Record]) -> Iterator[Dict[str, object]]:
+    """Records as field-name mappings, equal to ``dataclasses.asdict``.
+
+    Every field holds an immutable scalar, so reading the attributes
+    directly gives the mapping ``asdict`` would build, without its
+    per-field reflection and deep copy.
+    """
+    values = attrgetter(*names)
+    return (dict(zip(names, values(record))) for record in records)
 
 
 @dataclass
@@ -191,9 +210,9 @@ class CharacterizationDataset:
         return {
             "metadata": {key: value for key, value in self.metadata.items()
                          if key not in self.RUNTIME_METADATA_KEYS},
-            "ber_records": [asdict(record) for record in self.ber_records],
-            "hcfirst_records": [asdict(record)
-                                for record in self.hcfirst_records],
+            "ber_records": list(_mappings(_BER_FIELDS, self.ber_records)),
+            "hcfirst_records": list(_mappings(_HCFIRST_FIELDS,
+                                              self.hcfirst_records)),
         }
 
     @classmethod
@@ -204,12 +223,12 @@ class CharacterizationDataset:
             raise AnalysisError(
                 f"dataset payload must be a mapping, "
                 f"got {type(payload).__name__}")
-        dataset = cls(metadata=payload.get("metadata", {}))
-        for raw in payload.get("ber_records", []):
-            dataset.add(BerRecord(**raw))
-        for raw in payload.get("hcfirst_records", []):
-            dataset.add(HcFirstRecord(**raw))
-        return dataset
+        return cls(
+            ber_records=[BerRecord(**raw)
+                         for raw in payload.get("ber_records", [])],
+            hcfirst_records=[HcFirstRecord(**raw)
+                             for raw in payload.get("hcfirst_records", [])],
+            metadata=payload.get("metadata", {}))
 
     def to_json(self, path: Union[str, Path]) -> None:
         """Archive the dataset as JSON (atomic: no torn archives)."""
@@ -225,17 +244,11 @@ class CharacterizationDataset:
 
     def ber_to_csv(self, path: Union[str, Path]) -> None:
         """Write BER records as CSV (one row per measurement)."""
-        self._to_csv(path, self.ber_records,
-                     ["channel", "pseudo_channel", "bank", "row", "region",
-                      "pattern", "repetition", "hammer_count", "flips",
-                      "row_bits", "duration_s"])
+        self._to_csv(path, self.ber_records, _BER_FIELDS)
 
     def hcfirst_to_csv(self, path: Union[str, Path]) -> None:
         """Write HC_first records as CSV (one row per search)."""
-        self._to_csv(path, self.hcfirst_records,
-                     ["channel", "pseudo_channel", "bank", "row", "region",
-                      "pattern", "repetition", "hc_first", "max_hammers",
-                      "probes", "flips_at_max"])
+        self._to_csv(path, self.hcfirst_records, _HCFIRST_FIELDS)
 
     # -- integrity --------------------------------------------------------
     def fingerprint(self) -> str:
@@ -249,19 +262,17 @@ class CharacterizationDataset:
         coverage); the measured records are what must survive the trip.
         """
         hasher = hashlib.blake2b(digest_size=16)
-        for record in self.ber_records:
-            hasher.update(repr(asdict(record)).encode())
+        for row in _mappings(_BER_FIELDS, self.ber_records):
+            hasher.update(repr(row).encode())
         hasher.update(b"|")
-        for record in self.hcfirst_records:
-            hasher.update(repr(asdict(record)).encode())
+        for row in _mappings(_HCFIRST_FIELDS, self.hcfirst_records):
+            hasher.update(repr(row).encode())
         return hasher.hexdigest()
 
     @staticmethod
     def _to_csv(path: Union[str, Path], records: List[Record],
-                columns: List[str]) -> None:
+                columns: Tuple[str, ...]) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(columns)
-            for record in records:
-                row = asdict(record)
-                writer.writerow([row[column] for column in columns])
+            writer.writerows(map(attrgetter(*columns), records))

@@ -315,7 +315,10 @@ class SpatialSweep:
                          pseudo_channel=pseudo_channel, bank=bank,
                          region=region):
             ber_rows = self.region_rows(region, config.rows_per_region)
-            hcfirst_rows = ber_rows[:config.hcfirst_rows_per_region]
+            # A set: tested for membership once per row and repetition
+            # (3,072 rows per region at paper density); ``ber_rows``
+            # keeps the measurement order.
+            hcfirst_rows = set(ber_rows[:config.hcfirst_rows_per_region])
             for row in ber_rows:
                 victim = DramAddress(channel, pseudo_channel, bank, row)
                 guard = self._thermal_guard

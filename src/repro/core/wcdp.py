@@ -50,17 +50,14 @@ def _best_hcfirst_by_pattern(
     return best
 
 
-def select_wcdp(dataset: CharacterizationDataset,
-                row_key: RowKey) -> str:
-    """The WCDP name for one row, by the paper's rule.
+def _select_row(row_key: RowKey, ber_records: List[BerRecord],
+                hc_records: List[HcFirstRecord]) -> str:
+    """The paper's §3.1 rule over one row's records, in dataset order.
 
-    Smallest (uncensored) HC_first wins; ties — including the case where
-    every pattern is censored — are broken by largest BER at 256K.  Rows
-    with no HC_first data at all fall back to the largest-BER rule.
+    ``ber_records`` excludes ``WCDP`` records; ``hc_records`` may hold
+    them (they are skipped here, but still mark the row as having
+    HC_first data).
     """
-    hc_records = [r for r in dataset.hcfirst_records if r.row_key == row_key]
-    ber_records = [r for r in dataset.ber_records
-                   if r.row_key == row_key and r.pattern != WCDP_NAME]
     if not hc_records and not ber_records:
         raise AnalysisError(f"no records for row {row_key}")
 
@@ -89,13 +86,44 @@ def select_wcdp(dataset: CharacterizationDataset,
     return max(mean_ber, key=lambda pattern: (mean_ber[pattern], pattern))
 
 
+def select_wcdp(dataset: CharacterizationDataset,
+                row_key: RowKey) -> str:
+    """The WCDP name for one row, by the paper's rule.
+
+    Smallest (uncensored) HC_first wins; ties — including the case where
+    every pattern is censored — are broken by largest BER at 256K.  Rows
+    with no HC_first data at all fall back to the largest-BER rule.
+    This is the single-row form of :func:`wcdp_assignments`: it scans
+    the whole dataset, so use it for one row, not in a loop over rows.
+    """
+    hc_records = [r for r in dataset.hcfirst_records if r.row_key == row_key]
+    ber_records = [r for r in dataset.ber_records
+                   if r.row_key == row_key and r.pattern != WCDP_NAME]
+    return _select_row(row_key, ber_records, hc_records)
+
+
 def wcdp_assignments(
         dataset: CharacterizationDataset) -> Dict[RowKey, str]:
-    """WCDP name for every row present in the dataset."""
-    row_keys = {record.row_key for record in dataset.ber_records}
-    row_keys.update(record.row_key for record in dataset.hcfirst_records)
-    return {row_key: select_wcdp(dataset, row_key)
-            for row_key in sorted(row_keys)}
+    """WCDP name for every row present in the dataset.
+
+    One pass groups the records by row, keeping dataset order within
+    each row, so the result equals :func:`select_wcdp` per row at a
+    cost linear in the number of records.
+    """
+    ber_by_row: Dict[RowKey, List[BerRecord]] = {}
+    for record in dataset.ber_records:
+        # A row holding only WCDP BER records is still a row: the rule
+        # raises for it, as select_wcdp does.
+        row_records = ber_by_row.setdefault(record.row_key, [])
+        if record.pattern != WCDP_NAME:
+            row_records.append(record)
+    hc_by_row: Dict[RowKey, List[HcFirstRecord]] = {}
+    for record in dataset.hcfirst_records:
+        hc_by_row.setdefault(record.row_key, []).append(record)
+    row_keys = sorted(ber_by_row.keys() | hc_by_row.keys())
+    return {row_key: _select_row(row_key, ber_by_row.get(row_key, []),
+                                 hc_by_row.get(row_key, []))
+            for row_key in row_keys}
 
 
 def derive_wcdp_records(

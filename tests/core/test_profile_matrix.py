@@ -19,6 +19,8 @@ Three guarantees, checked per registered family:
    probabilistic sampler (irregular firing).
 """
 
+import hashlib
+
 import pytest
 
 from repro.bender.board import BoardSpec, make_paper_setup
@@ -28,12 +30,16 @@ from repro.core.utrr import UTrrExperiment, infer_period
 from repro.dram.address import DramAddress
 from repro.engine.session import EngineSession
 from repro.errors import ExperimentError
+from repro.faults.plan import FaultSpec
 
 PROFILES = ("hbm2", "ddr4", "ddr5")
 
 #: Dataset fingerprint of the reference sweep at the seed revision —
 #: the byte-identity acceptance bar for the hbm2 path.
 HBM2_REFERENCE_FINGERPRINT = "b53f07cb36c5ee9e7b716bb3be36cfee"
+#: blake2b-128 of the reference sweep's ``to_json`` archive bytes, run
+#: fault-free, as the ``dataclasses.asdict`` encoder wrote them.
+HBM2_REFERENCE_ARCHIVE_DIGEST = "1804958f5c74efa95889270b99f06bf2"
 
 SMOKE_SEED = 3
 
@@ -70,6 +76,21 @@ class TestHbm2ByteIdentity:
             SweepConfig(channels=(0, 7), rows_per_region=2,
                         hcfirst_rows_per_region=1))
         assert sweep.run().fingerprint() == HBM2_REFERENCE_FINGERPRINT
+
+    def test_reference_sweep_archive_bytes_are_pinned(self, tmp_path):
+        """The archive bytes, metadata included, bit for bit.
+
+        An explicit empty fault plan keeps ``$REPRO_FAULTS`` out of the
+        metadata (injected thermal excursions are recorded there).
+        """
+        sweep = SpatialSweep(
+            make_paper_setup(seed=2023),
+            SweepConfig(channels=(0, 7), rows_per_region=2,
+                        hcfirst_rows_per_region=1, faults=FaultSpec()))
+        sweep.run().to_json(tmp_path / "reference.json")
+        archive = (tmp_path / "reference.json").read_bytes()
+        assert (hashlib.blake2b(archive, digest_size=16).hexdigest()
+                == HBM2_REFERENCE_ARCHIVE_DIGEST)
 
     def test_named_hbm2_profile_matches_the_default_station(
             self, fast_datasets):

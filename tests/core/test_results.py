@@ -1,5 +1,10 @@
 """Tests for repro.core.results (records + dataset serialization)."""
 
+import csv
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.results import (
@@ -123,3 +128,86 @@ class TestSerialization:
         dataset.hcfirst_to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
+
+
+class TestEncoderMatchesAsdict:
+    """The archive, CSV and fingerprint encodings, byte for byte.
+
+    The reference is the ``dataclasses.asdict`` encoding every archive
+    and pinned fingerprint was written with.
+    """
+
+    BER_COLUMNS = ["channel", "pseudo_channel", "bank", "row", "region",
+                   "pattern", "repetition", "hammer_count", "flips",
+                   "row_bits", "duration_s"]
+    HCFIRST_COLUMNS = ["channel", "pseudo_channel", "bank", "row",
+                       "region", "pattern", "repetition", "hc_first",
+                       "max_hammers", "probes", "flips_at_max"]
+
+    @pytest.fixture
+    def dataset(self):
+        dataset = CharacterizationDataset(
+            metadata={"seed": 7, "telemetry": {"wall_s": 1.5}})
+        dataset.extend([
+            make_ber(flips=0),
+            BerRecord(channel=7, pseudo_channel=1, bank=15, row=2**40,
+                      region="last", pattern="Checkered1", repetition=4,
+                      hammer_count=2**62 + 1, flips=10**20, row_bits=8192,
+                      duration_s=0.1 + 0.2),
+            BerRecord(channel=0, pseudo_channel=0, bank=0, row=0,
+                      region="middle", pattern="WCDP", repetition=0,
+                      hammer_count=1, flips=1, row_bits=3,
+                      duration_s=1e-300),
+            make_hc(hc_first=None),
+            make_hc(hc_first=2**53 + 1, region="middle"),
+            HcFirstRecord(channel=3, pseudo_channel=1, bank=2, row=16383,
+                          region="last", pattern="WCDP", repetition=2,
+                          hc_first=None, max_hammers=10**18, probes=0,
+                          flips_at_max=0),
+        ])
+        return dataset
+
+    @staticmethod
+    def reference_csv(path, records, columns):
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            for record in records:
+                row = asdict(record)
+                writer.writerow([row[column] for column in columns])
+
+    def test_json_bytes(self, dataset, tmp_path):
+        dataset.to_json(tmp_path / "dataset.json")
+        reference = json.dumps({
+            "metadata": {"seed": 7},
+            "ber_records": [asdict(r) for r in dataset.ber_records],
+            "hcfirst_records": [asdict(r) for r in dataset.hcfirst_records],
+        }, indent=1).encode()
+        assert (tmp_path / "dataset.json").read_bytes() == reference
+
+    def test_csv_bytes(self, dataset, tmp_path):
+        dataset.ber_to_csv(tmp_path / "ber.csv")
+        dataset.hcfirst_to_csv(tmp_path / "hc.csv")
+        self.reference_csv(tmp_path / "ber_ref.csv", dataset.ber_records,
+                           self.BER_COLUMNS)
+        self.reference_csv(tmp_path / "hc_ref.csv",
+                           dataset.hcfirst_records, self.HCFIRST_COLUMNS)
+        assert ((tmp_path / "ber.csv").read_bytes()
+                == (tmp_path / "ber_ref.csv").read_bytes())
+        assert ((tmp_path / "hc.csv").read_bytes()
+                == (tmp_path / "hc_ref.csv").read_bytes())
+
+    def test_fingerprint(self, dataset):
+        hasher = hashlib.blake2b(digest_size=16)
+        for record in dataset.ber_records:
+            hasher.update(repr(asdict(record)).encode())
+        hasher.update(b"|")
+        for record in dataset.hcfirst_records:
+            hasher.update(repr(asdict(record)).encode())
+        assert dataset.fingerprint() == hasher.hexdigest()
+
+    def test_payload_roundtrip_keeps_record_order(self, dataset):
+        back = CharacterizationDataset.from_payload(dataset.to_payload())
+        assert back.ber_records == dataset.ber_records
+        assert back.hcfirst_records == dataset.hcfirst_records
+        assert back.fingerprint() == dataset.fingerprint()
