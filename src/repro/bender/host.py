@@ -75,22 +75,28 @@ class HostInterface:
         """A fresh program builder (pure convenience)."""
         return ProgramBuilder()
 
-    def cached_run(self, key, rows, build, verify=None) -> ExecutionResult:
+    def cached_run(self, key, rows, build, verify=None,
+                   counts=None) -> ExecutionResult:
         """Run the program ``build()`` would produce, through the shape
         cache when one is installed.
 
         ``key`` identifies the program *shape* (everything but the ACT
-        row operands); ``rows`` is the row binding, in first-ACT order.
-        ``verify`` runs on the built program before it executes: once
-        per shape when the cache is installed (insert time), once per
-        call without it — exactly the pre-engine behavior.
+        row operands, and the loop counts when ``counts`` is given);
+        ``rows`` is the row binding, in first-ACT order; ``counts`` the
+        loop counts, one per loop in pre-order.  ``verify`` runs on the
+        program before it executes: once per (shape, counts) binding
+        when the cache is installed, once per call without it — exactly
+        the pre-engine behavior.  It may return its
+        :class:`~repro.verify.VerificationReport` for the engine to
+        reuse.
         """
         if self.program_cache is None:
             program = build()
             if verify is not None:
                 verify(program)
             return self.run(program)
-        return self.program_cache.execute(key, rows, build, verify=verify)
+        return self.program_cache.execute(key, rows, build, verify=verify,
+                                          counts=counts)
 
     # ------------------------------------------------------------------
     # Row-granularity convenience wrappers (each is a tiny test program)

@@ -115,9 +115,10 @@ class BerExperiment:
 
         verify = None
         if config.verify_programs:
-            def verify(program) -> None:
-                verify_hammer_program(program, host, victim, aggressors,
-                                      config.ber_hammer_count)
+            def verify(program):
+                return verify_hammer_program(program, host, victim,
+                                             aggressors,
+                                             config.ber_hammer_count)
         execution = host.cached_run(
             ("ber_refresh", victim.channel, victim.pseudo_channel,
              victim.bank, len(aggressors), full_bursts, hammers_per_refi,

@@ -98,14 +98,14 @@ class CrossChannelExperiment:
 
         verify = None
         if self._verify:
-            def verify(program) -> None:
+            def verify(program):
                 expected = {(aggressor_channel, victim.pseudo_channel,
                              victim.bank, victim.row): activations} \
                     if stressed else None
                 # Both arms deliberately leave the victim unrefreshed for
                 # the whole duration — decay is the experiment's common
                 # mode.
-                assert_verified(
+                return assert_verified(
                     program,
                     VerifyContext.for_host(host, expected_hammers=expected,
                                            allow_retention_decay=True),

@@ -28,6 +28,7 @@ from repro.core.rowdata import FlipReport, byte_fill_bits, flip_report
 from repro.dram.address import DramAddress, RowAddressMapper
 from repro.errors import ExperimentError
 from repro.obs import get_metrics, get_tracer
+from repro.verify.diagnostics import VerificationReport
 from repro.verify.program import VerifyContext, assert_verified
 
 #: Physical radius of rows initialized around the victim (Table 1 uses
@@ -128,20 +129,21 @@ def build_hammer_program(victim: DramAddress, aggressor_rows: Sequence[int],
 def verify_hammer_program(program: Program, host: HostInterface,
                           victim: DramAddress,
                           aggressor_rows: Sequence[int],
-                          hammer_count: int) -> None:
+                          hammer_count: int) -> VerificationReport:
     """Statically verify a hammer payload before it touches the device.
 
     Checks DRAM protocol and timing against the host's parameters and —
     the property dynamic execution cannot check — that every declared
     aggressor row is activated exactly ``hammer_count`` times, so BER
     and HC_first are attributed to the hammer count the experiment
-    records.  Raises :class:`~repro.errors.VerificationError`.
+    records.  Raises :class:`~repro.errors.VerificationError`; returns
+    the report otherwise.
     """
     expected = {(victim.channel, victim.pseudo_channel, victim.bank, row):
                 hammer_count for row in aggressor_rows}
-    assert_verified(program,
-                    VerifyContext.for_host(host, expected_hammers=expected),
-                    what=f"hammer program for {victim}")
+    return assert_verified(
+        program, VerifyContext.for_host(host, expected_hammers=expected),
+        what=f"hammer program for {victim}")
 
 
 class DoubleSidedHammer:
@@ -183,20 +185,23 @@ class DoubleSidedHammer:
                 "neighbour(s); double-sided hammering needs two")
         verify = None
         if self._verify:
-            def verify(program: Program) -> None:
-                verify_hammer_program(program, host, victim, aggressors,
-                                      hammer_count)
+            def verify(program: Program) -> VerificationReport:
+                return verify_hammer_program(program, host, victim,
+                                             aggressors, hammer_count)
         with tracer.span("hammer", hammers=hammer_count):
             # Through the engine: the program *shape* (everything but
-            # the aggressor rows) is assembled and verified once, then
-            # re-instantiated per victim by patching the ACT rows.
+            # the aggressor rows and the hammer count) is assembled
+            # once, verified once per hammer count, then re-instantiated
+            # per victim by patching the ACT rows.  A zero count builds
+            # no loop at all, so it is a shape of its own.
             execution = host.cached_run(
                 ("hammer", victim.channel, victim.pseudo_channel,
-                 victim.bank, len(aggressors), hammer_count),
+                 victim.bank, len(aggressors), hammer_count == 0),
                 tuple(aggressors) if hammer_count else (),
                 lambda: build_hammer_program(victim, aggressors,
                                              hammer_count),
-                verify=verify)
+                verify=verify,
+                counts=(hammer_count,) if hammer_count else ())
         duration_s = host.device.timing.seconds(execution.duration_cycles)
 
         with tracer.span("readback"):
@@ -259,18 +264,19 @@ class SingleSidedHammer:
 
         verify = None
         if self._verify:
-            def verify(program: Program) -> None:
-                verify_hammer_program(program, host, aggressor,
-                                      [aggressor.row], hammer_count)
+            def verify(program: Program) -> VerificationReport:
+                return verify_hammer_program(program, host, aggressor,
+                                             [aggressor.row], hammer_count)
         with get_tracer().span("hammer", hammers=hammer_count,
                                single_sided=True):
             host.cached_run(
                 ("hammer", aggressor.channel, aggressor.pseudo_channel,
-                 aggressor.bank, 1, hammer_count),
+                 aggressor.bank, 1, hammer_count == 0),
                 (aggressor.row,) if hammer_count else (),
                 lambda: build_hammer_program(aggressor, [aggressor.row],
                                              hammer_count),
-                verify=verify)
+                verify=verify,
+                counts=(hammer_count,) if hammer_count else ())
 
         expected = byte_fill_bits(pattern.victim_byte, geometry.row_bytes)
         physical_aggressor = mapper.logical_to_physical(aggressor.row)

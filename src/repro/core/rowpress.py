@@ -107,14 +107,14 @@ class RowPressExperiment:
                 f"victim {victim} lacks two physical neighbours")
         verify = None
         if self._verify:
-            def verify(program: Program) -> None:
+            def verify(program: Program):
                 expected = {(victim.channel, victim.pseudo_channel,
                              victim.bank, row): hammer_count
                             for row in aggressors}
                 # Long aggressor-on times deliberately run past tREFW
                 # (the module docstring's retention note), so decay is
                 # allowed.
-                assert_verified(
+                return assert_verified(
                     program,
                     VerifyContext.for_host(host, expected_hammers=expected,
                                            allow_retention_decay=True),

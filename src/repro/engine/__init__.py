@@ -12,6 +12,7 @@ Four sub-layers, each in its own module:
   byte-identical output falls out by construction.
 * **Backend** (:mod:`repro.engine.backend`,
   :mod:`repro.engine.pool`) — the ``compile(program) -> handle`` /
+  ``bind(handle, counts) -> handle`` /
   ``execute(handle, rows) -> readbacks`` protocol;
   :class:`~repro.engine.backend.LocalBackend` is the in-process
   reference, :class:`~repro.engine.backend.FastPathBackend` the
@@ -22,8 +23,9 @@ Four sub-layers, each in its own module:
   plug in.
 * **ProgramCache** (:mod:`repro.engine.cache`) — content-addressed
   (blake2b over assembled template + timing table) store of
-  built-and-verified programs with row-address patching, so assembly
-  and verification are paid once per program *shape* rather than once
+  built-and-verified programs with row-address and loop-count
+  patching, so assembly is paid once per program *shape* and
+  verification once per shape and loop-count binding, rather than once
   per row.  Gated by ``$REPRO_PROGRAM_CACHE`` (default on).
 
 :mod:`repro.engine.pool` is intentionally not imported here: it

@@ -1,10 +1,15 @@
 """Execution backends: compile-once / execute-many program handles.
 
-The engine narrows every way of running a Bender program down to one
-two-call protocol::
+The engine narrows every way of running a Bender program down to a
+three-call protocol::
 
-    handle = backend.compile(program)        # canonicalize + lower
-    result = backend.execute(handle, rows)   # patch rows + run
+    handle = backend.compile(program)         # canonicalize + lower
+    other = backend.bind(handle, counts)      # same shape, other counts
+    result = backend.execute(handle, rows)    # patch rows + run
+
+``compile`` does the once-per-shape work and returns a handle bound to
+the program's own loop counts; ``bind`` rebinds a handle's shape to
+another count binding without rebuilding or re-canonicalizing it.
 
 :class:`LocalBackend` is the reference implementation: it executes on
 the station's own in-process :class:`~repro.bender.interpreter.
@@ -22,25 +27,27 @@ and memoized on the interpreter (see
 turning the per-row data fill from an encode into an array copy.
 
 :class:`FastPathBackend` extends the local backend with the *analytic
-fast path*: ``compile`` additionally runs the effect-summary analysis
-(:func:`repro.verify.summarize_program`) on the canonical template, and
-``execute`` applies a summarized program's effect ops directly against
-the device — the same ACT counts, timing stamps, TRR observations,
-disturbance doses and command counts the interpreter would produce,
-without walking the command stream.  Programs whose effects cannot be
-proven (:class:`~repro.verify.Unsummarizable`) fall back to interpreted
+fast path*: binding a handle to its counts additionally runs the
+effect-summary analysis (:func:`repro.verify.summarize_program`) on
+the count-bound template, and ``execute`` applies a summarized
+program's effect ops directly against the device — the same ACT
+counts, timing stamps, TRR observations, disturbance doses and command
+counts the interpreter would produce, without walking the command
+stream.  Programs whose effects cannot be proven
+(:class:`~repro.verify.Unsummarizable`) fall back to interpreted
 execution, counted in ``engine.fastpath.fallbacks``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.bender import isa
 from repro.bender.interpreter import ExecutionResult
 from repro.bender.program import Program
 from repro.engine.cache import (
+    CountBinding,
     RowBinding,
     SlotBanks,
     canonicalize,
@@ -49,7 +56,7 @@ from repro.engine.cache import (
 )
 from repro.errors import EngineError
 from repro.obs import get_metrics
-from repro.verify import VerifyContext
+from repro.verify import VerificationReport, VerifyContext
 from repro.verify.effects import (
     BurstOp,
     EffectSummary,
@@ -65,23 +72,24 @@ from repro.verify.effects import (
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A backend handle: one verified, lowered program shape.
+    """A backend handle: one lowered program shape, bound to counts.
 
-    ``template`` carries slot ordinals in place of ACT rows;
-    ``source_binding`` is the row binding of the program it was
-    compiled from (the instance that was verified at cache insert).
-    ``summary`` / ``unsummarizable`` are the effect analysis of the
-    template (both None on backends that do not summarize): because
-    the template's ACT rows *are* slot ordinals, a summary's row
-    operands index any concrete binding — the same renaming rule
-    row substitution uses — so one analysis serves every execution of
-    the shape.
+    ``template`` carries slot ordinals in place of ACT rows and loop
+    counts; ``counts`` is the count binding the handle executes with.
+    ``source_binding`` is the row binding of the program the shape was
+    compiled from.  ``summary`` / ``unsummarizable`` are the effect
+    analysis of the template bound to ``counts`` (both None on backends
+    that do not summarize): because the template's ACT rows *are* slot
+    ordinals, a summary's row operands index any concrete row binding —
+    the same renaming rule row substitution uses — so one analysis
+    serves every execution of the binding.
     """
 
     template: Program
     slot_banks: SlotBanks
     source_binding: RowBinding
     digest: str
+    counts: CountBinding = ()
     summary: Optional[EffectSummary] = None
     unsummarizable: Optional[Unsummarizable] = None
 
@@ -98,7 +106,14 @@ class ExecutionBackend(Protocol):
     against it can serve the cache and the drivers.
     """
 
-    def compile(self, program: Program) -> CompiledProgram:
+    def compile(self, program: Program,
+                report: Optional[VerificationReport] = None
+                ) -> CompiledProgram:
+        ...
+
+    def bind(self, handle: CompiledProgram, counts: CountBinding,
+             report: Optional[VerificationReport] = None
+             ) -> CompiledProgram:
         ...
 
     def execute(self, handle: CompiledProgram,
@@ -135,9 +150,10 @@ class LocalBackend:
     def __init__(self, host) -> None:
         self._host = host
         # Programs are immutable, so an instantiation — a template with
-        # one concrete row binding patched in — can be reused verbatim
-        # whenever the same rows are measured again (every repetition
-        # after the first), skipping the substitution walk.
+        # one concrete count and row binding patched in — can be reused
+        # verbatim whenever the same rows are measured again with the
+        # same counts (every repetition after the first), skipping the
+        # substitution walk.
         self._instantiations: dict = {}
 
     @property
@@ -156,29 +172,48 @@ class LocalBackend:
         return (f"{device.profile_name or ''}|{device.geometry!r}"
                 f"|{device.trr_config!r}")
 
-    def compile(self, program: Program) -> CompiledProgram:
-        """Canonicalize ``program`` into a patchable, lowered handle."""
-        template, binding, slot_banks = canonicalize(program)
+    def compile(self, program: Program,
+                report: Optional[VerificationReport] = None
+                ) -> CompiledProgram:
+        """Canonicalize ``program`` into a patchable, lowered handle
+        bound to the program's own loop counts.
+
+        ``report`` is the caller's verification report for ``program``,
+        if it has one (see :meth:`bind`).
+        """
+        template, binding, slot_banks, counts = canonicalize(program)
         handle = CompiledProgram(template=template, slot_banks=slot_banks,
                                  source_binding=binding,
                                  digest=shape_digest(
                                      template, self.timing,
-                                     self.device_identity()))
+                                     self.device_identity()),
+                                 counts=counts)
         payload_cache = self._host.interpreter.payload_cache
         if payload_cache is not None:
             for payload in _wrrow_payloads(template):
                 self._host.interpreter.lower_payload(payload)
-        return handle
+        return self.bind(handle, counts, report=report)
+
+    def bind(self, handle: CompiledProgram, counts: CountBinding,
+             report: Optional[VerificationReport] = None
+             ) -> CompiledProgram:
+        """The handle's shape bound to the loop counts ``counts``.
+
+        ``report`` is a verification report of one instance of that
+        binding (any row binding); backends that analyze the binding
+        may reuse it instead of verifying again.
+        """
+        return replace(handle, counts=counts)
 
     def execute(self, handle: CompiledProgram,
                 binding: RowBinding = ()) -> ExecutionResult:
         """Patch ``binding`` into the handle and run it on the station."""
         binding = tuple(binding)
-        key = (handle.digest, binding)
+        key = (handle.digest, handle.counts, binding)
         program = self._instantiations.get(key)
         if program is None:
             program = substitute(handle.template, handle.slot_banks,
-                                 binding)
+                                 binding, handle.counts)
             if len(self._instantiations) >= self.MAX_INSTANTIATIONS:
                 self._instantiations.clear()
             self._instantiations[key] = program
@@ -216,20 +251,26 @@ class FastPathBackend(LocalBackend):
     fingerprints must be byte-identical with ``REPRO_FASTPATH=0/1``.
     """
 
-    def compile(self, program: Program) -> CompiledProgram:
-        handle = super().compile(program)
+    def bind(self, handle: CompiledProgram, counts: CountBinding,
+             report: Optional[VerificationReport] = None
+             ) -> CompiledProgram:
+        """Bind ``counts`` and summarize the bound template's effect.
+
+        The summary is computed on the template with its rows left as
+        slot ordinals.  A caller's ``report`` for an instance of the
+        binding stands in for the summarizer's own verification pass
+        whenever :func:`~repro.verify.summarize_program` accepts it.
+        """
+        template = substitute(handle.template, handle.slot_banks,
+                              tuple(range(handle.slots)), counts)
         context = VerifyContext.for_host(self._host,
                                          allow_retention_decay=True)
-        outcome = summarize_program(handle.template, context)
+        outcome = summarize_program(template, context, report=report)
         if isinstance(outcome, EffectSummary):
-            return CompiledProgram(
-                template=handle.template, slot_banks=handle.slot_banks,
-                source_binding=handle.source_binding, digest=handle.digest,
-                summary=outcome)
-        return CompiledProgram(
-            template=handle.template, slot_banks=handle.slot_banks,
-            source_binding=handle.source_binding, digest=handle.digest,
-            unsummarizable=outcome)
+            return replace(handle, counts=counts, summary=outcome,
+                           unsummarizable=None)
+        return replace(handle, counts=counts, summary=None,
+                       unsummarizable=outcome)
 
     def execute(self, handle: CompiledProgram,
                 binding: RowBinding = ()) -> ExecutionResult:

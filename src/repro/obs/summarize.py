@@ -5,8 +5,9 @@ per-phase time profile (where did the campaign's wall time go), the
 slowest shards (where to look when ``--jobs N`` does not scale), and —
 when a metrics snapshot is given — the command-stream accounting
 (commands issued by type, commands/s, rows/s, shard retries/timeouts,
-the execution engine's program-cache hit rate, and streaming-quantile
-latency summaries for every recorded histogram).
+the execution engine's program-cache hit rate, shape builds and
+evictions, and streaming-quantile latency summaries for every recorded
+histogram).
 
 Works on any trace this package wrote: a serial sweep, a merged
 parallel campaign, a fleet run, or a single CLI command.  Fleet traces
@@ -231,7 +232,11 @@ def _render_metrics(metrics: Mapping[str, Mapping[str, object]],
     if hits or misses:
         rate = hits / (hits + misses)
         lines.append(f"program cache: {hits:,} hits, {misses:,} misses "
-                     f"({rate:.1%} hit rate)")
+                     f"({rate:.1%} hit rate), "
+                     f"{int(counters.get('engine.cache.shape_builds', 0)):,}"
+                     f" shapes built, "
+                     f"{int(counters.get('engine.cache.evictions', 0)):,}"
+                     " evictions")
     fast_hits = int(counters.get("engine.fastpath.hits", 0))
     fast_falls = int(counters.get("engine.fastpath.fallbacks", 0))
     fast_bypasses = int(counters.get("engine.fastpath.bypasses", 0))

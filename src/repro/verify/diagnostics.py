@@ -100,6 +100,10 @@ class VerificationReport:
     #: Scheduled program duration in interface cycles, as the abstract
     #: interpreter computed it (None for source lint or truncated runs).
     duration_cycles: Optional[int] = None
+    #: The :class:`~repro.verify.program.VerifyContext` a program
+    #: report was made under (None for source lint).
+    context: Optional[object] = field(default=None, compare=False,
+                                      repr=False)
 
     @property
     def violations(self) -> List[Diagnostic]:

@@ -60,7 +60,7 @@ binding by indexing — the same renaming rule
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bender import isa
@@ -645,14 +645,19 @@ def summarize_program(program, context: Optional[VerifyContext] = None,
             ``assume_trr_escaped=True`` makes TRR-window warnings block
             summarization (reason ``trr-window``).
         report: an existing :func:`verify_program` report for this
-            exact (program, context) pair, to avoid verifying twice.
+            program, or for a row renaming of it that keeps distinct
+            rows of a bank distinct, to avoid verifying twice.  It is
+            used when it was made under ``context`` or, having no
+            violations, under a context that differs from it only in
+            ``expected_hammers`` and ``allow_retention_decay``;
+            otherwise the program is verified again.
 
     Returns:
         :class:`EffectSummary` when every effect is statically proven,
         else :class:`Unsummarizable` with a taxonomy reason.
     """
     context = context or VerifyContext()
-    if report is None:
+    if report is None or not _report_holds(report, context):
         report = verify_program(program, context)
     if report.violations:
         first = report.violations[0]
@@ -697,6 +702,31 @@ def summarize_program(program, context: Optional[VerifyContext] = None,
         reads=tuple(sorted(reads.items())),
         duration_cycles=duration,
     )
+
+
+#: The context settings a report's warnings and duration depend on.
+_REPORT_SETTINGS = tuple(
+    item.name for item in fields(VerifyContext)
+    if item.name not in ("expected_hammers", "allow_retention_decay"))
+
+
+def _report_holds(report: VerificationReport,
+                  context: VerifyContext) -> bool:
+    """Whether ``report`` is what verifying under ``context`` gives.
+
+    Declared hammer counts and refresh-starvation checking only ever
+    add violations.  So a report without violations, made under a
+    context that differs from ``context`` in those two settings alone,
+    has exactly the warnings and scheduled duration ``context`` gives.
+    """
+    source = report.context
+    if source is None:
+        return False
+    if source == context:
+        return True
+    return not report.violations and all(
+        getattr(source, name) == getattr(context, name)
+        for name in _REPORT_SETTINGS)
 
 
 def _count_refs(ops, multiplier, refs) -> None:

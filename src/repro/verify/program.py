@@ -561,7 +561,7 @@ def verify_program(program, context: Optional[VerifyContext] = None
             ``VerifyContext()`` — nominal timing, scheduled policy).
     """
     context = context or VerifyContext()
-    report = VerificationReport()
+    report = VerificationReport(context=context)
     machine = _Machine(context, report, check_timing=True)
     try:
         machine.run_sequence(program.instructions, "instructions")

@@ -134,7 +134,7 @@ class TestCacheDigestNonAliasing:
             trr_config=TrrConfig(sampler="counter", table_size=4))
         victim = DramAddress(channel=0, pseudo_channel=0, bank=0, row=100)
         program = build_hammer_program(victim, [99, 101], 64)
-        template, _, _ = canonicalize(program)
+        template, _, _, _ = canonicalize(program)
 
         digests = []
         for board in (plain, trr_variant):
@@ -147,7 +147,7 @@ class TestCacheDigestNonAliasing:
         board = make_paper_setup(seed=0, settle_thermals=False)
         rebuilt = make_paper_setup(seed=0, settle_thermals=False)
         victim = DramAddress(channel=0, pseudo_channel=0, bank=0, row=100)
-        template, _, _ = canonicalize(
+        template, _, _, _ = canonicalize(
             build_hammer_program(victim, [99, 101], 64))
         first = LocalBackend(board.host)
         second = LocalBackend(rebuilt.host)

@@ -41,17 +41,36 @@ def act_rows(program):
 class TestCanonicalize:
     def test_rows_become_first_occurrence_ordinals(self):
         program = hammer_program((40, 42))
-        template, binding, slot_banks = canonicalize(program)
+        template, binding, slot_banks, _ = canonicalize(program)
         assert binding == (40, 42)
         assert slot_banks == ((0, 0, 1), (0, 0, 1))
         assert act_rows(template) == [0, 1]
+
+    def test_loop_counts_become_preorder_count_slots(self):
+        builder = ProgramBuilder()
+        with builder.loop(7):
+            with builder.loop(9):
+                builder.act(0, 0, 0, 5)
+                builder.pre(0, 0, 0)
+            builder.ref(0, 0)
+        with builder.loop(7):
+            builder.act(0, 0, 0, 6)
+            builder.pre(0, 0, 0)
+        template, _, _, counts = canonicalize(builder.build())
+        assert counts == (7, 9, 7)
+        outer, second = template.instructions
+        assert (outer.count, outer.body[0].count, second.count) == (0, 1, 2)
+
+    def test_loop_free_program_has_no_count_slots(self):
+        _, _, _, counts = canonicalize(hammer_program((40, 42), count=0))
+        assert counts == ()
 
     def test_repeated_row_shares_one_slot(self):
         builder = ProgramBuilder()
         for row in (7, 9, 7):
             builder.act(0, 0, 0, row)
             builder.pre(0, 0, 0)
-        template, binding, slot_banks = canonicalize(builder.build())
+        template, binding, slot_banks, _ = canonicalize(builder.build())
         assert binding == (7, 9)
         assert act_rows(template) == [0, 1, 0]
 
@@ -61,13 +80,13 @@ class TestCanonicalize:
         builder.pre(0, 0, 0)
         builder.act(0, 0, 1, 5)
         builder.pre(0, 0, 1)
-        template, binding, slot_banks = canonicalize(builder.build())
+        template, binding, slot_banks, _ = canonicalize(builder.build())
         assert binding == (5, 5)
         assert slot_banks == ((0, 0, 0), (0, 0, 1))
 
     def test_non_act_instructions_pass_through(self):
         program = hammer_program((40, 42))
-        template, _, _ = canonicalize(program)
+        template, _, _, _ = canonicalize(program)
 
         def strip(candidate):
             return [type(i).__name__ for i in candidate.instructions]
@@ -78,25 +97,39 @@ class TestCanonicalize:
 class TestSubstitute:
     def test_roundtrip_reproduces_the_original(self):
         program = hammer_program((40, 42))
-        template, binding, slot_banks = canonicalize(program)
-        assert substitute(template, slot_banks, binding) == program
+        template, binding, slot_banks, counts = canonicalize(program)
+        assert substitute(template, slot_banks, binding, counts) == program
 
     def test_rebinding_equals_building_directly(self):
-        template, _, slot_banks = canonicalize(hammer_program((40, 42)))
-        assert substitute(template, slot_banks, (90, 92)) == \
+        template, _, slot_banks, counts = canonicalize(
+            hammer_program((40, 42)))
+        assert substitute(template, slot_banks, (90, 92), counts) == \
             hammer_program((90, 92))
 
+    def test_count_rebinding_equals_building_directly(self):
+        template, _, slot_banks, _ = canonicalize(hammer_program((40, 42)))
+        assert substitute(template, slot_banks, (90, 92), (17_000,)) == \
+            hammer_program((90, 92), count=17_000)
+
     def test_wrong_arity_rejected(self):
-        template, _, slot_banks = canonicalize(hammer_program((40, 42)))
+        template, _, slot_banks, counts = canonicalize(
+            hammer_program((40, 42)))
         with pytest.raises(EngineError, match="2 row slot"):
-            substitute(template, slot_banks, (90,))
+            substitute(template, slot_banks, (90,), counts)
+
+    @pytest.mark.parametrize("counts", [(), (4, 4)])
+    def test_wrong_count_arity_rejected(self, counts):
+        template, _, slot_banks, _ = canonicalize(hammer_program((40, 42)))
+        with pytest.raises(EngineError, match="1 count slot"):
+            substitute(template, slot_banks, (90, 92), counts)
 
     def test_aliasing_binding_rejected(self):
         """Two slots of one bank onto the same row would silently merge
         activation counts past the insert-time verification."""
-        template, _, slot_banks = canonicalize(hammer_program((40, 42)))
+        template, _, slot_banks, counts = canonicalize(
+            hammer_program((40, 42)))
         with pytest.raises(EngineError, match="aliases"):
-            substitute(template, slot_banks, (90, 90))
+            substitute(template, slot_banks, (90, 90), counts)
 
     def test_same_row_allowed_across_banks(self):
         builder = ProgramBuilder()
@@ -104,7 +137,7 @@ class TestSubstitute:
         builder.pre(0, 0, 0)
         builder.act(0, 0, 1, 9)
         builder.pre(0, 0, 1)
-        template, _, slot_banks = canonicalize(builder.build())
+        template, _, slot_banks, _ = canonicalize(builder.build())
         rebound = substitute(template, slot_banks, (3, 3))
         assert act_rows(rebound) == [3, 3]
 
@@ -112,15 +145,24 @@ class TestSubstitute:
 class TestShapeDigest:
     def test_row_values_do_not_change_the_digest(self, small_host):
         timing = small_host.device.timing
-        one, _, _ = canonicalize(hammer_program((40, 42)))
-        other, _, _ = canonicalize(hammer_program((90, 92)))
+        one, _, _, _ = canonicalize(hammer_program((40, 42)))
+        other, _, _, _ = canonicalize(hammer_program((90, 92)))
+        assert shape_digest(one, timing) == shape_digest(other, timing)
+
+    def test_loop_counts_do_not_change_the_digest(self, small_host):
+        timing = small_host.device.timing
+        one, _, _, _ = canonicalize(hammer_program((40, 42), count=4))
+        other, _, _, _ = canonicalize(hammer_program((40, 42), count=5))
         assert shape_digest(one, timing) == shape_digest(other, timing)
 
     def test_shape_parameters_change_the_digest(self, small_host):
         timing = small_host.device.timing
-        one, _, _ = canonicalize(hammer_program((40, 42), count=4))
-        other, _, _ = canonicalize(hammer_program((40, 42), count=5))
-        assert shape_digest(one, timing) != shape_digest(other, timing)
+        two, _, _, _ = canonicalize(hammer_program((40, 42)))
+        three, _, _, _ = canonicalize(hammer_program((40, 42, 44)))
+        loop_free, _, _, _ = canonicalize(hammer_program((40, 42), count=0))
+        digests = {shape_digest(template, timing)
+                   for template in (two, three, loop_free)}
+        assert len(digests) == 3
 
 
 class TestProgramCache:
@@ -180,14 +222,57 @@ class TestProgramCache:
         cache.execute(("a",), (40, 42), lambda: hammer_program((40, 42)))
         cache.execute(("b",), (40, 42),
                       lambda: hammer_program((40, 42), count=5))
-        # "b" was not admitted: re-running it misses again.
+        # "b" displaced "a" (least recently used) and stays resident.
         cache.execute(("b",), (40, 42),
                       lambda: hammer_program((40, 42), count=5))
-        assert cache.misses == 3
-        assert cache.hits == 0
-        # "a" is still resident.
+        assert (cache.misses, cache.hits) == (2, 1)
         cache.execute(("a",), (90, 92), lambda: hammer_program((90, 92)))
-        assert cache.hits == 1
+        assert (cache.misses, cache.hits) == (3, 1)
+        # Each insert displaced one key and one count binding of the
+        # one shape both keys build.
+        assert cache.evictions == 4
+        assert len(cache) == 1
+
+    def test_key_store_evicts_the_least_recently_used(self, small_host):
+        cache = ProgramCache(LocalBackend(small_host), max_entries=2)
+
+        def run(key, count):
+            cache.execute((key,), (40, 42),
+                          lambda: hammer_program((40, 42), count=count))
+
+        run("a", 4)
+        run("b", 5)
+        run("a", 4)  # hit: "a" is now the most recently used
+        run("c", 6)  # evicts "b"
+        run("a", 4)
+        assert (cache.misses, cache.hits) == (3, 2)
+        run("b", 5)
+        assert (cache.misses, cache.hits) == (4, 2)
+
+    def test_bounded_cache_keeps_new_keys(self, small_host):
+        """Regression: once the key store was full, a new key was never
+        admitted (it missed on every call) while every miss still grew
+        the digest store past the bound."""
+        backend = LocalBackend(small_host)
+        cache = ProgramCache(backend, max_entries=2)
+        small_host.engine_backend = backend
+        small_host.program_cache = cache
+        registry = MetricsRegistry()
+        address = DramAddress(0, 0, 1, 40)
+        with use_metrics(registry):
+            for count in (2, 3, 4, 5, 6):
+                small_host.activate_precharge(address, count)
+            assert len(cache) <= 2
+            assert (cache.misses, cache.hits) == (5, 0)
+            for _ in range(3):
+                small_host.activate_precharge(address, 6)
+        assert (cache.misses, cache.hits) == (5, 3)
+        counters = registry.snapshot()["counters"]
+        # Five keys and five count bindings of the one act_pre loop
+        # shape through two slots each.
+        assert counters["engine.cache.evictions"] == cache.evictions == 6
+        assert counters["engine.cache.shape_builds"] == 5
+        assert len(cache) == 1
 
     def test_cached_execution_matches_direct_run(self, vulnerable_board):
         """A cache hit's readback is byte-identical to host.run of the

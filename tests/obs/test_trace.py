@@ -235,6 +235,17 @@ class TestSummarize:
         assert ("analytic fast path: 360 hits, 0 fallbacks, "
                 "40 bypasses (90.0% of programs)") in text
 
+    def test_render_metrics_reports_cache_builds_and_evictions(self):
+        from repro.obs.summarize import _render_metrics
+
+        text = _render_metrics(
+            {"counters": {"engine.cache.hits": 90,
+                          "engine.cache.misses": 10,
+                          "engine.cache.shape_builds": 3,
+                          "engine.cache.evictions": 2}}, wall=1.0)
+        assert ("program cache: 90 hits, 10 misses (90.0% hit rate), "
+                "3 shapes built, 2 evictions") in text
+
     def test_render_metrics_silent_without_fastpath(self):
         from repro.obs.summarize import _render_metrics
 

@@ -256,6 +256,74 @@ class TestUnsummarizableTaxonomy:
         assert REASON_COLUMN_ACCESS in rendered and "x[3]" in rendered
 
 
+class TestReportReuse:
+    """``summarize_program(report=...)`` reuses a verifier report only
+    when it is what verifying under the summary's context would give."""
+
+    def _hammer(self):
+        return build_hammer_program(VICTIM, AGGRESSORS, 1000)
+
+    def _count_verifies(self, monkeypatch):
+        import repro.verify.effects as effects
+        calls = []
+        original = effects.verify_program
+
+        def counting(program, context=None):
+            calls.append(context)
+            return original(program, context)
+
+        monkeypatch.setattr(effects, "verify_program", counting)
+        return calls
+
+    def test_clean_strict_report_is_reused(self, monkeypatch):
+        from repro.verify import verify_program
+        program = self._hammer()
+        strict = VerifyContext(expected_hammers={
+            (0, 0, 0, row): 1000 for row in AGGRESSORS})
+        report = verify_program(program, strict)
+        permissive = VerifyContext(allow_retention_decay=True)
+        fresh = summarize_program(program, permissive)
+        calls = self._count_verifies(monkeypatch)
+        assert summarize_program(program, permissive,
+                                 report=report) == fresh
+        assert calls == []
+
+    def test_report_with_violations_is_not_reused(self, monkeypatch):
+        from repro.verify import verify_program
+        program = self._hammer()
+        misdeclared = VerifyContext(expected_hammers={
+            (0, 0, 0, row): 999 for row in AGGRESSORS})
+        report = verify_program(program, misdeclared)
+        assert report.violations
+        calls = self._count_verifies(monkeypatch)
+        outcome = summarize_program(program, VerifyContext(), report=report)
+        assert isinstance(outcome, EffectSummary)
+        assert len(calls) == 1
+
+    def test_report_under_other_warning_settings_is_not_reused(self):
+        from repro.verify import verify_program
+        builder = ProgramBuilder()
+        with builder.loop(20):
+            with builder.loop(10):
+                builder.act(0, 0, 0, 99)
+                builder.pre(0, 0, 0)
+            builder.ref(0, 0)
+        program = builder.build()
+        report = verify_program(program,
+                                VerifyContext(assume_trr_escaped=True))
+        assert report.warnings
+        outcome = summarize_program(program, VerifyContext(), report=report)
+        assert isinstance(outcome, EffectSummary) and outcome.trr_exposed
+
+    def test_report_without_context_is_not_reused(self):
+        from repro.verify.diagnostics import VerificationReport
+        program = self._hammer()
+        outcome = summarize_program(program, VerifyContext(),
+                                    report=VerificationReport())
+        assert outcome == summary_of(program)
+        assert outcome.duration_cycles is not None
+
+
 class TestSerialization:
     def _roundtrip(self, summary):
         return EffectSummary.from_dict(summary.to_dict())
